@@ -1,9 +1,10 @@
 // Measures the block-scoring fast path against the per-pair path on the two
 // inference surfaces that score many candidates: the full-ranking protocol
 // and Top-N serving. Compare the *PerPair and *Block rows of the same model
-// — the ratio is the batching speedup (one ForwardRows GEMM per
-// kScoreBlockSize candidates for SceneRec, one kernels::Dot sweep for
-// BPR-MF, versus one std::function dispatch + single-row forward per pair).
+// — the ratio is the batching speedup (one q GEMV plus one AddActDotRows
+// call per kScoreBlockSize candidates for SceneRec, one kernels::Dot sweep
+// for BPR-MF, versus one std::function dispatch + single-row score per
+// pair).
 // Eval caches are warmed before timing, so the rows measure steady-state
 // scoring, not cache fills. tools/bench.sh records the suite in
 // BENCH_scoring.json for the bench_diff regression gate.

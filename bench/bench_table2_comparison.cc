@@ -5,14 +5,22 @@
 // family beats the baselines on every dataset, the full model beats its
 // ablations, and GNN baselines (NGCF) beat flat MF/NCF baselines.
 //
+// After the table, every trained SceneRec-family model is also scored with
+// the concat form of eq. (14) that training uses, next to the factorized
+// eval head its Table 2 cell was measured with: test NDCG/HR under both
+// heads and how many test users get the identical full-catalog top-10
+// (EXPERIMENTS.md, "Rating-head parity").
+//
 //   ./bench_table2_comparison [--scale=0.05] [--epochs=10] [--dim=64]
 //                             [--threads=0] [--models=all] [--datasets=all]
 //                             [--seed=42] [--verbose]
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -21,12 +29,52 @@
 #include "common/malloc_tuning.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "eval/top_n.h"
+#include "tensor/tensor.h"
 
 namespace {
 
 using namespace scenerec;
 using bench::CellResult;
 using bench::PreparedDataset;
+
+/// One trained SceneRec-family model under both eq. (14) heads.
+struct HeadParity {
+  std::string model;
+  std::string dataset;
+  RankingMetrics concat;
+  RankingMetrics factorized;
+  size_t same_top10 = 0;
+  size_t users = 0;
+};
+
+HeadParity MeasureHeadParity(Recommender& model,
+                             const PreparedDataset& prepared) {
+  model.OnEvalBegin();
+  const ScoreFn concat = [&model](int64_t user, int64_t item) {
+    NoGradGuard no_grad;
+    return model.ScoreForTraining(user, item).scalar();
+  };
+  const std::vector<EvalInstance>& test = prepared.split.test;
+  HeadParity parity;
+  parity.model = model.name();
+  parity.dataset = prepared.dataset.name;
+  parity.concat = EvaluateRanking(concat, test, 10);
+  parity.factorized = EvaluateRanking(model.BlockScorer(), test, 10);
+  for (const EvalInstance& instance : test) {
+    const auto a =
+        TopNRecommendations(concat, prepared.train_graph, instance.user, 10);
+    const auto b = TopNRecommendations(model.BlockScorer(),
+                                       prepared.train_graph, instance.user, 10);
+    parity.same_top10 += std::equal(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const Recommendation& x, const Recommendation& y) {
+          return x.item == y.item;
+        });
+    ++parity.users;
+  }
+  return parity;
+}
 
 int Run(int argc, char** argv) {
   TuneAllocatorForTraining();
@@ -132,6 +180,7 @@ int Run(int argc, char** argv) {
                                   static_cast<int64_t>(tasks.size()));
 
   std::vector<CellResult> cells;
+  std::vector<HeadParity> parities;
   std::mutex mutex;
   std::atomic<size_t> next_task{0};
   Stopwatch total;
@@ -144,9 +193,15 @@ int Run(int argc, char** argv) {
       task_config.learning_rate =
           lr_override > 0.0 ? static_cast<float>(lr_override)
                             : bench::TunedLearningRate(task.model);
+      std::unique_ptr<Recommender> model;
       auto cell = bench::RunCell(task.model, prepared[task.dataset_index],
-                                 factory_config, task_config);
+                                 factory_config, task_config, &model);
+      std::optional<HeadParity> parity;
+      if (cell.ok() && task.model.starts_with("SceneRec")) {
+        parity = MeasureHeadParity(*model, prepared[task.dataset_index]);
+      }
       std::lock_guard<std::mutex> lock(mutex);
+      if (parity.has_value()) parities.push_back(*parity);
       if (!cell.ok()) {
         std::cerr << task.model << " on " << dataset_names[task.dataset_index]
                   << ": " << cell.status().ToString() << "\n";
@@ -190,6 +245,18 @@ int Run(int argc, char** argv) {
                   dataset.c_str(),
                   100.0 * (scenerec_ndcg / best_baseline_ndcg - 1.0),
                   100.0 * (scenerec_hr / best_baseline_hr - 1.0));
+    }
+  }
+  if (!parities.empty()) {
+    std::printf(
+        "\nRating-head parity (same trained parameters; test split):\n");
+    std::printf("%-16s %-13s | %-17s | %-17s | %s\n", "Model", "Dataset",
+                "concat NDCG/HR", "factorized NDCG/HR", "same top-10");
+    for (const HeadParity& p : parities) {
+      std::printf("%-16s %-13s | %.6f %.6f | %.6f %.6f | %zu/%zu\n",
+                  p.model.c_str(), p.dataset.c_str(), p.concat.ndcg,
+                  p.concat.hr, p.factorized.ndcg, p.factorized.hr,
+                  p.same_top10, p.users);
     }
   }
   std::printf("\nTotal wall time: %.1fs with %lld threads\n",

@@ -1,6 +1,7 @@
 #include "eval/top_n.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <unordered_set>
 
@@ -18,6 +19,10 @@ const telemetry::Counter t_requests =
     telemetry::RegisterCounter("serve/topn_requests");
 const telemetry::Counter t_candidates =
     telemetry::RegisterCounter("serve/topn_candidates");
+// Candidates whose score was NaN or ±inf when they reached selection; they
+// rank after every finite score (see BetterRecommendation).
+const telemetry::Counter t_nonfinite =
+    telemetry::RegisterCounter("serve/nonfinite_scores");
 
 /// Scores `candidates` in bounded chunks and selects the top n. Candidates
 /// must already be unique: both public callers guarantee that (the
@@ -58,7 +63,14 @@ std::vector<Recommendation> ScoreAndSelect(const BlockScoreFn& score,
 }  // namespace
 
 bool BetterRecommendation(const Recommendation& a, const Recommendation& b) {
-  return a.score != b.score ? a.score > b.score : a.item < b.item;
+  // Non-finite scores form one class below every finite score, ordered by
+  // item id: NaN compares unordered with everything, so letting it into the
+  // score comparison would break the strict weak ordering nth_element and
+  // sort rely on. For two finite scores this is the plain order.
+  const bool a_finite = std::isfinite(a.score);
+  if (a_finite != std::isfinite(b.score)) return a_finite;
+  if (a_finite && a.score != b.score) return a.score > b.score;
+  return a.item < b.item;
 }
 
 void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n) {
@@ -67,17 +79,35 @@ void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n) {
     scored->clear();
     return;
   }
-  // Partial selection: move the n winners to the front in O(candidates),
-  // then order just that prefix. BetterRecommendation is a strict total
-  // order, so this is exactly the first n entries a full sort would produce.
+  // BetterRecommendation, applied class by class: one partition moves the
+  // non-finite scores behind the finite ones (and counts them), so the
+  // finite prefix is ordered by score then item — NaN-free, a strict total
+  // order there — and the tail by item alone. Each class takes partial
+  // selection: move its winners to the front in O(candidates), then order
+  // just that prefix, so the result is exactly the first n entries a full
+  // sort under BetterRecommendation would produce.
+  const auto tail = std::partition(
+      scored->begin(), scored->end(),
+      [](const Recommendation& r) { return std::isfinite(r.score); });
+  const size_t finite = static_cast<size_t>(tail - scored->begin());
+  if (tail != scored->end()) t_nonfinite.Add(scored->size() - finite);
   const size_t keep = std::min<size_t>(static_cast<size_t>(n), scored->size());
-  if (keep < scored->size()) {
-    std::nth_element(scored->begin(),
-                     scored->begin() + static_cast<ptrdiff_t>(keep),
-                     scored->end(), BetterRecommendation);
-    scored->resize(keep);
+  const auto select = [](auto begin, auto end, size_t k, auto better) {
+    const auto kth = begin + static_cast<ptrdiff_t>(k);
+    if (kth != end) std::nth_element(begin, kth, end, better);
+    std::sort(begin, kth, better);
+  };
+  select(scored->begin(), tail, std::min(keep, finite),
+         [](const Recommendation& a, const Recommendation& b) {
+           return a.score != b.score ? a.score > b.score : a.item < b.item;
+         });
+  if (keep > finite) {
+    select(tail, scored->end(), keep - finite,
+           [](const Recommendation& a, const Recommendation& b) {
+             return a.item < b.item;
+           });
   }
-  std::sort(scored->begin(), scored->end(), BetterRecommendation);
+  scored->resize(keep);
 }
 
 std::vector<Recommendation> SelectTopN(std::vector<Recommendation> scored,

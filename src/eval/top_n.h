@@ -16,14 +16,16 @@ struct Recommendation {
   float score = 0.0f;
 };
 
-/// The strict total order of every serving surface: score descending, ties
-/// by lower item id. No two distinct candidates compare equal, so any
+/// The strict total order of every serving surface: finite scores
+/// descending, ties by lower item id, then every non-finite score (NaN,
+/// ±inf) by lower item id. No two distinct candidates compare equal, so any
 /// correct selection algorithm yields the identical top-n list.
 bool BetterRecommendation(const Recommendation& a, const Recommendation& b);
 
 /// The shared partial-selection routine behind every Top-N surface
 /// (TopNRecommendations, TwoStageTopN, the serving daemon's batch path):
-/// keeps the `n` best entries of `scored` under BetterRecommendation, sorted.
+/// keeps the `n` best entries of `scored` under BetterRecommendation, sorted,
+/// and counts non-finite scores in serve/nonfinite_scores.
 /// O(candidates + n log n) via nth_element — exactly the first n entries a
 /// full sort would produce. n <= 0 returns empty; n beyond the candidate
 /// count returns everything, sorted.

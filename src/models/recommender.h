@@ -147,9 +147,9 @@ class Recommender : public Module {
   //
   // Full-ranking evaluation and Top-N serving score one user against
   // thousands of candidate items. ScoreBlock is the batched entry point:
-  // models that can gather their (memoized) user/item representations into
-  // matrices answer a whole block with row-batched GEMMs instead of one
-  // autograd forward per pair (docs/serving.md). The contract is strict:
+  // models with memoized user/item representations answer a whole block
+  // with one kernel sweep instead of one autograd forward per pair
+  // (docs/serving.md). The contract is strict:
   // out[r] must be bitwise equal to Score(user, items[r]) for every r, so
   // callers may switch between the paths freely without metrics drift.
 
@@ -169,17 +169,18 @@ class Recommender : public Module {
   //
   // The admission loop of scenerec_serve (src/serve/server.h) coalesces
   // concurrent users' candidate blocks into ONE flattened row list, so that
-  // requests arriving together share GEMM batches the same way ForwardRows
-  // shares them across items. ScoreRows is that entry point: row r scores
-  // the pair (users[r], items[r]). The contract extends ScoreBlock's:
-  // out[r] must be bitwise equal to Score(users[r], items[r]) for every r,
-  // independent of which rows happen to share a call — so the daemon's
-  // batched results are bitwise identical to per-request serving, and rows
-  // may be re-chunked freely (docs/serving.md).
+  // requests arriving together share one scoring call. ScoreRows is that
+  // entry point: row r scores the pair (users[r], items[r]). The contract
+  // extends ScoreBlock's: out[r] must be bitwise equal to
+  // Score(users[r], items[r]) for every r, independent of which rows happen
+  // to share a call — so the daemon's batched results are bitwise identical
+  // to per-request serving, and rows may be re-chunked freely
+  // (docs/serving.md).
 
-  /// True if ScoreRows batches across users (one shared GEMM per call)
-  /// rather than splitting into per-user ScoreBlock runs. Informational,
-  /// like SupportsBlockScoring.
+  /// True if the model scores a cross-user row list natively rather than
+  /// through the per-run ScoreBlock fallback. Informational, like
+  /// SupportsBlockScoring; no model in this library does (SceneRec's
+  /// factorized head already shares its item table across runs).
   virtual bool SupportsCrossUserScoring() const { return false; }
 
   /// Scores row pairs (users[r], items[r]) into out[r]. All three spans

@@ -7,6 +7,7 @@
 #include "common/repr_cache.h"
 #include "common/trace.h"
 #include "models/neighbor_util.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace scenerec {
@@ -71,7 +72,11 @@ void SceneRec::ClearStepCaches() { step_caches_.Clear(); }
 void SceneRec::OnEvalBegin() {
   ClearStepCaches();
   eval_user_cache_.clear();
-  eval_item_cache_.clear();
+  eval_item_repr_.clear();
+  eval_item_proj_.clear();
+  item_state_.clear();
+  rating_w_user_.clear();
+  rating_w_item_.clear();
 }
 
 Tensor SceneRec::CategoryFuseInput(int64_t category, StepCaches& caches,
@@ -239,21 +244,57 @@ Tensor SceneRec::UserSpaceItemRepr(int64_t item, Rng* rng) {
 
 Tensor SceneRec::GeneralItemRepr(int64_t item, StepCaches& caches,
                                  Rng* rng) {
-  const bool eval_mode = NoGradGuard::enabled();
-  if (eval_mode) {
-    if (eval_item_cache_.empty()) {
-      eval_item_cache_.resize(static_cast<size_t>(user_item_->num_items()));
-    }
-    if (eval_item_cache_[static_cast<size_t>(item)].defined()) {
-      return eval_item_cache_[static_cast<size_t>(item)];
-    }
-  }
   // Eq. (13): MLP over the concatenated user-based and scene-based views.
   Tensor user_view = UserSpaceItemRepr(item, rng);
   Tensor scene_view = SceneSpaceItemRepr(item, caches, rng);
-  Tensor repr = item_mlp_.Forward(Concat({user_view, scene_view}));
-  if (eval_mode) eval_item_cache_[static_cast<size_t>(item)] = repr;
-  return repr;
+  return item_mlp_.Forward(Concat({user_view, scene_view}));
+}
+
+void SceneRec::EnsureEvalTables() {
+  if (!item_state_.empty()) return;
+  const int64_t d = config_.embedding_dim;
+  const size_t cells = static_cast<size_t>(user_item_->num_items() * d);
+  eval_item_repr_.resize(cells);
+  eval_item_proj_.resize(cells);
+  item_state_.assign(static_cast<size_t>(user_item_->num_items()), kItemCold);
+  // W [d, 2d] of eq. (14)'s first layer: columns [0, d) act on m_u, [d, 2d)
+  // on m_i.
+  const float* w = rating_mlp_.layer(0).weight().value().data();
+  rating_w_user_.resize(static_cast<size_t>(d * d));
+  rating_w_item_.resize(static_cast<size_t>(d * d));
+  for (int64_t r = 0; r < d; ++r) {
+    std::copy(w + r * 2 * d, w + r * 2 * d + d,
+              rating_w_user_.data() + r * d);
+    std::copy(w + r * 2 * d + d, w + (r + 1) * 2 * d,
+              rating_w_item_.data() + r * d);
+  }
+}
+
+const float* SceneRec::EvalItemRepr(int64_t item) {
+  EnsureEvalTables();
+  const int64_t d = config_.embedding_dim;
+  float* row = eval_item_repr_.data() + item * d;
+  if (item_state_[static_cast<size_t>(item)] == kItemCold) {
+    // GeneralItemReprRows row r is bitwise GeneralItemRepr, so a lazily
+    // filled row equals the prepared one.
+    const Tensor repr = GeneralItemRepr(item, step_caches_, nullptr);
+    std::copy(repr.value().data(), repr.value().data() + d, row);
+    item_state_[static_cast<size_t>(item)] = kItemRepr;
+  }
+  return row;
+}
+
+const float* SceneRec::EvalItemProjection(int64_t item) {
+  const int64_t d = config_.embedding_dim;
+  float* p = eval_item_proj_.data() + item * d;
+  if (item_state_[static_cast<size_t>(item)] != kItemProjected) {
+    const float* m_i = EvalItemRepr(item);
+    kernels::Gemv(rating_w_item_.data(), d, d, m_i, p);
+    const float* b = rating_mlp_.layer(0).bias().value().data();
+    for (int64_t j = 0; j < d; ++j) p[j] += b[j];
+    item_state_[static_cast<size_t>(item)] = kItemProjected;
+  }
+  return p;
 }
 
 Tensor SceneRec::ItemRowsFromParts(const std::vector<Tensor>& user_space_sums,
@@ -284,9 +325,18 @@ Tensor SceneRec::Rating(const Tensor& user_repr, const Tensor& item_repr) {
 }
 
 Tensor SceneRec::ScoreForTraining(int64_t user, int64_t item) {
-  Rng* rng = NoGradGuard::enabled() ? nullptr : &sample_rng_;
-  if (rng != nullptr) ClearStepCaches();  // fresh parameters each step
-  return Rating(UserRepr(user, rng), GeneralItemRepr(item, step_caches_, rng));
+  if (NoGradGuard::enabled()) {
+    // Eval: the concat form over the same memoized reprs the factorized
+    // head reads.
+    const float* row = EvalItemRepr(item);
+    const int64_t d = config_.embedding_dim;
+    return Rating(UserRepr(user, nullptr),
+                  Tensor::FromVector(Shape({d}),
+                                     std::vector<float>(row, row + d)));
+  }
+  ClearStepCaches();  // fresh parameters each step
+  return Rating(UserRepr(user, &sample_rng_),
+                GeneralItemRepr(item, step_caches_, &sample_rng_));
 }
 
 Tensor SceneRec::BatchLoss(std::span<const BprTriple> batch) {
@@ -393,20 +443,37 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
           });
     }
   }
+  // Items: eq. (13) rows into M, then P = W_i M + b for the same block with
+  // one GemvMulti — per (item, output) bitwise the Gemv a lazy fill runs.
+  // A pool chunk can be the whole catalog (a one-thread pool runs inline),
+  // so chunks are walked in blocks: the eq. (13) intermediates then stay
+  // O(block) instead of O(catalog), which would otherwise be tens of MiB of
+  // heap retained after every publish.
+  EnsureEvalTables();
   const int64_t num_items = user_item_->num_items();
-  if (eval_item_cache_.empty()) {
-    eval_item_cache_.resize(static_cast<size_t>(num_items));
-  }
   pool.ParallelFor(
       num_items, /*grain=*/32, [this](int64_t begin, int64_t end) {
         NoGradGuard no_grad;
-        std::vector<int64_t> items(static_cast<size_t>(end - begin));
-        for (int64_t i = begin; i < end; ++i) {
-          items[static_cast<size_t>(i - begin)] = i;
-        }
-        Tensor rows = GeneralItemReprRows(items, step_caches_, nullptr);
-        for (int64_t i = begin; i < end; ++i) {
-          eval_item_cache_[static_cast<size_t>(i)] = Row(rows, i - begin);
+        constexpr int64_t kBlock = 256;
+        const int64_t d = config_.embedding_dim;
+        const float* b = rating_mlp_.layer(0).bias().value().data();
+        std::vector<int64_t> items;
+        for (int64_t lo = begin; lo < end; lo += kBlock) {
+          const int64_t hi = std::min(lo + kBlock, end);
+          items.resize(static_cast<size_t>(hi - lo));
+          for (int64_t i = lo; i < hi; ++i) {
+            items[static_cast<size_t>(i - lo)] = i;
+          }
+          Tensor rows = GeneralItemReprRows(items, step_caches_, nullptr);
+          const float* src = rows.value().data();
+          float* m = eval_item_repr_.data() + lo * d;
+          float* p = eval_item_proj_.data() + lo * d;
+          std::copy(src, src + (hi - lo) * d, m);
+          kernels::GemvMulti(rating_w_item_.data(), d, d, m, hi - lo, p);
+          for (int64_t i = lo; i < hi; ++i) {
+            for (int64_t j = 0; j < d; ++j) p[(i - lo) * d + j] += b[j];
+            item_state_[static_cast<size_t>(i)] = kItemProjected;
+          }
         }
       });
   // With a demand-paged cache attached the O(users) sweep is skipped
@@ -435,72 +502,43 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
   return true;
 }
 
+float SceneRec::Score(int64_t user, int64_t item) {
+  float out = 0.0f;
+  ScoreBlock(user, std::span<const int64_t>(&item, 1),
+             std::span<float>(&out, 1));
+  return out;
+}
+
 void SceneRec::ScoreBlock(int64_t user, std::span<const int64_t> items,
                           std::span<float> out) {
   SCENEREC_CHECK_EQ(items.size(), out.size());
   if (items.empty()) return;
   NoGradGuard no_grad;
-  // Representations come from the eval caches: pre-filled by
-  // PrepareParallelScoring (parallel sweeps, pure reads here) or filled
-  // lazily on first use (serial sweeps) — the identical code path Score()
-  // takes, so cached rows are bitwise-shared between both.
-  const Tensor user_repr = UserRepr(user, nullptr);
+  // Every read below is of a memo PrepareParallelScoring filled (pure
+  // reads, safe concurrently) or one this serial call fills on first use.
+  EnsureEvalTables();
   const int64_t d = config_.embedding_dim;
-  const int64_t rows = static_cast<int64_t>(items.size());
-  std::vector<float> xs(static_cast<size_t>(rows * 2 * d));
-  const float* urow = user_repr.value().data();
-  for (int64_t r = 0; r < rows; ++r) {
-    Tensor item_repr =
-        GeneralItemRepr(items[static_cast<size_t>(r)], step_caches_, nullptr);
-    float* dst = xs.data() + r * 2 * d;
-    const float* irow = item_repr.value().data();
-    for (int64_t c = 0; c < d; ++c) dst[c] = urow[c];
-    for (int64_t c = 0; c < d; ++c) dst[d + c] = irow[c];
-  }
-  // Eq. (14) once per block: [B, 2d] -> [B, 1] row-batched GEMMs.
-  Tensor scores = rating_mlp_.ForwardRows(
-      Tensor::FromVector(Shape({rows, 2 * d}), std::move(xs)));
-  const float* src = scores.value().data();
-  for (int64_t r = 0; r < rows; ++r) out[static_cast<size_t>(r)] = src[r];
+  thread_local std::vector<float> q;
+  q.resize(static_cast<size_t>(d));
+  const Tensor user_repr = UserRepr(user, nullptr);
+  kernels::Gemv(rating_w_user_.data(), d, d, user_repr.value().data(),
+                q.data());
+  for (const int64_t item : items) EvalItemProjection(item);
+  const Linear& hidden = rating_mlp_.layer(0);
+  const Linear& output = rating_mlp_.layer(1);
+  kernels::AddActDotRows(q.data(), eval_item_proj_.data(), items.data(),
+                         static_cast<int64_t>(items.size()), d,
+                         output.weight().value().data(),
+                         output.bias().value()[0],
+                         ToFusedAct(hidden.activation()), kernels::kLeakySlope,
+                         out.data());
 }
 
-void SceneRec::ScoreRows(std::span<const int64_t> users,
-                         std::span<const int64_t> items,
-                         std::span<float> out) {
-  SCENEREC_CHECK_EQ(users.size(), items.size());
-  SCENEREC_CHECK_EQ(users.size(), out.size());
-  if (users.empty()) return;
+std::span<const float> SceneRec::RatingHeadItemRow(int64_t item) {
   NoGradGuard no_grad;
-  // Same memoized eval representations as Score()/ScoreBlock — consecutive
-  // rows of one request hit the user memo, and under PrepareParallelScoring
-  // every lookup is a pure read — gathered across ALL coalesced requests
-  // into one [N, 2d] matrix.
-  const int64_t d = config_.embedding_dim;
-  const int64_t rows = static_cast<int64_t>(users.size());
-  std::vector<float> xs(static_cast<size_t>(rows * 2 * d));
-  // Rows arrive grouped per request (runs of equal user), so resolve the
-  // user repr once per run — with a demand-paged cache attached this is
-  // what keeps lookups O(requests), not O(rows).
-  int64_t run_user = -1;
-  Tensor user_repr;
-  for (int64_t r = 0; r < rows; ++r) {
-    if (users[static_cast<size_t>(r)] != run_user) {
-      run_user = users[static_cast<size_t>(r)];
-      user_repr = UserRepr(run_user, nullptr);
-    }
-    const Tensor item_repr =
-        GeneralItemRepr(items[static_cast<size_t>(r)], step_caches_, nullptr);
-    float* dst = xs.data() + r * 2 * d;
-    const float* urow = user_repr.value().data();
-    const float* irow = item_repr.value().data();
-    for (int64_t c = 0; c < d; ++c) dst[c] = urow[c];
-    for (int64_t c = 0; c < d; ++c) dst[d + c] = irow[c];
-  }
-  // Eq. (14) once per coalesced batch: [N, 2d] -> [N, 1].
-  Tensor scores = rating_mlp_.ForwardRows(
-      Tensor::FromVector(Shape({rows, 2 * d}), std::move(xs)));
-  const float* src = scores.value().data();
-  for (int64_t r = 0; r < rows; ++r) out[static_cast<size_t>(r)] = src[r];
+  EnsureEvalTables();
+  return std::span<const float>(EvalItemProjection(item),
+                                static_cast<size_t>(config_.embedding_dim));
 }
 
 RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
@@ -510,11 +548,10 @@ RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
   out.dim = config_.embedding_dim;
   out.fidelity = RetrievalFidelity::kProxy;
   out.owned_items.resize(static_cast<size_t>(out.num_items * out.dim));
-  // Same lazily-filled eval caches as Score()/ScoreBlock, so exporting
-  // doubles as a cache warm-up and never forks representations.
+  // The M rows Score()/ScoreBlock read, so exporting doubles as a warm-up of
+  // M and never forks representations. P stays cold: the index needs none.
   for (int64_t i = 0; i < out.num_items; ++i) {
-    Tensor repr = GeneralItemRepr(i, step_caches_, nullptr);
-    const float* src = repr.value().data();
+    const float* src = EvalItemRepr(i);
     std::copy(src, src + out.dim, out.owned_items.data() + i * out.dim);
   }
   out.items = out.owned_items.data();

@@ -72,31 +72,33 @@ class SceneRec : public Recommender {
                         Rng& rng) override;
 
   /// Precomputes every eval memo in dependency stages (scene sums ->
-  /// category reprs -> item reprs -> user reprs), each stage parallel over
-  /// disjoint cache slots, then returns true: Score() becomes a pure read
-  /// plus a thread-local rating MLP forward.
+  /// category reprs -> item reprs and their rating-head projections -> user
+  /// reprs), each stage parallel over disjoint cache slots, then returns
+  /// true: Score() becomes a pure read plus the factorized rating head.
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
-  // -- Block scoring -------------------------------------------------------
-  // Gathers the memoized user/item representations into one [B, 2d] matrix
-  // and runs eq. (14) once per block through rating_mlp_.ForwardRows — a
-  // row-batched GEMM instead of B per-pair autograd forwards. Bitwise equal
-  // to per-pair Score() because ForwardRows row r is bitwise equal to
-  // Forward(row r) (docs/kernels.md) and the gather is a pure copy.
+  // -- Eval-mode scoring: the factorized eq. (14) head --------------------
+  // The rating MLP's first layer is linear, so W [m_u || m_i] + b splits
+  // exactly into q = W_u m_u plus P[i] = W_i m_i + b. P is a contiguous
+  // [items, d] table filled with the item memo M (PrepareParallelScoring:
+  // one GemvMulti per block of items; serial path: per item on first use
+  // with the bitwise-equal Gemv), q is computed once per ScoreBlock call,
+  // and each candidate row costs one kernels::AddActDotRows row,
+  // w2 . act(q + P[i]) + b2 — O(d) work instead of the 2d^2 flops of a
+  // first-layer GEMV, and no [n, 2d] gather. Score is a one-row ScoreBlock,
+  // and the base ScoreRows calls ScoreBlock once per run of equal user, so
+  // Score, ScoreBlock and ScoreRows all end in that one kernel and agree
+  // bitwise with each other and with any re-chunking of rows; only the
+  // float grouping relative to the concat form that ScoreForTraining keeps
+  // for autograd differs (tests/scoring_test.cc).
+  float Score(int64_t user, int64_t item) override;
   bool SupportsBlockScoring() const override { return true; }
   void ScoreBlock(int64_t user, std::span<const int64_t> items,
                   std::span<float> out) override;
 
-  /// Cross-request batching for the serving daemon: gathers the memoized
-  /// representations of EVERY (users[r], items[r]) pair into one [N, 2d]
-  /// matrix and runs eq. (14) once for the whole coalesced batch — users
-  /// arriving together share the rating-MLP GEMM. Bitwise equal to
-  /// per-request ScoreBlock for the same reason ScoreBlock is bitwise equal
-  /// to Score: ForwardRows row r equals Forward(row r) bitwise and the
-  /// gather is a pure copy.
-  bool SupportsCrossUserScoring() const override { return true; }
-  void ScoreRows(std::span<const int64_t> users,
-                 std::span<const int64_t> items, std::span<float> out) override;
+  /// Row `item` of P, filled on first use exactly as Score fills it — what
+  /// the prepared == lazy tests compare.
+  std::span<const float> RatingHeadItemRow(int64_t item);
 
   // -- Demand-paged user representations -----------------------------------
   // With a cache attached, eval-mode UserRepr bypasses the per-user memo
@@ -107,17 +109,18 @@ class SceneRec : public Recommender {
   // ParallelScoring then skips the O(users) sweep: hot swap warm-up becomes
   // O(items) and user-side memory O(cache capacity). The cache's sharded
   // locks plus the pure-read item/scene memos keep concurrent
-  // ScoreBlock/ScoreRows safe after PrepareParallelScoring, exactly as in
+  // ScoreBlock calls safe after PrepareParallelScoring, exactly as in
   // full warm-up mode.
   bool SupportsUserReprCache() const override { return true; }
   int64_t UserReprDim() const override { return config_.embedding_dim; }
   void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                            uint64_t version) override;
 
-  /// Exports the memoized eval representations (eqs. 1 and 13). The true
-  /// score is the rating MLP over [user_repr, item_repr] — not an inner
-  /// product — so the export is kProxy: index order only picks candidates
-  /// and two-stage serving always reranks with exact ScoreBlock.
+  /// Exports the memoized eval representations (eqs. 1 and 13; the M
+  /// table, never P). The true score is the rating MLP over
+  /// [user_repr, item_repr] — not an inner product — so the export is
+  /// kProxy: index order only picks candidates and two-stage serving always
+  /// reranks with exact ScoreBlock.
   bool SupportsRetrievalEmbeddings() const override { return true; }
   int64_t RetrievalDim() const override { return config_.embedding_dim; }
   RetrievalEmbeddings ExportItemEmbeddings() override;
@@ -192,8 +195,22 @@ class SceneRec : public Recommender {
   /// m^U_{i_p} — eq. (2).
   Tensor UserSpaceItemRepr(int64_t item, Rng* rng);
 
-  /// m_{i_p} — eq. (13).
+  /// m_{i_p} — eq. (13), computed afresh (the eval memo is EvalItemRepr).
   Tensor GeneralItemRepr(int64_t item, StepCaches& caches, Rng* rng);
+
+  /// Sizes the eval item tables (M, P, their fill states) and splits the
+  /// rating MLP's first weight [d, 2d] into contiguous [d, d] halves W_u
+  /// and W_i, once per eval sweep. Never called concurrently with a cold
+  /// fill.
+  void EnsureEvalTables();
+
+  /// Eval-mode row of M (eq. 13), computed on first use.
+  const float* EvalItemRepr(int64_t item);
+
+  /// Eval-mode row of P, computed on first use from the M row with
+  /// kernels::Gemv — bitwise the row PrepareParallelScoring's GemvMulti
+  /// writes. Requires EnsureEvalTables.
+  const float* EvalItemProjection(int64_t item);
 
   /// Batched eq. (13): one row per item of `items`, computed with row-
   /// batched GEMMs. Row r is bitwise equal to GeneralItemRepr(items[r])
@@ -213,7 +230,8 @@ class SceneRec : public Recommender {
   Tensor ShardLoss(std::span<const BprTriple> triples, StepCaches& caches,
                    Rng& rng);
 
-  /// r'_pq — eq. (14).
+  /// r'_pq — eq. (14) in the concat form (training, and the reference the
+  /// factorized eval head is tested against).
   Tensor Rating(const Tensor& user_repr, const Tensor& item_repr);
 
   const UserItemGraph* user_item_;
@@ -240,11 +258,19 @@ class SceneRec : public Recommender {
   mutable StepCaches step_caches_;
   std::vector<StepCaches> shard_caches_;
   // Eval-sweep-scoped memos, only consulted under NoGradGuard: evaluation
-  // scores num_users x 101 pairs, and both representations are deterministic
+  // scores num_users x 101 pairs, and every representation is deterministic
   // between parameter updates. During parallel evaluation they are filled
   // up-front by PrepareParallelScoring and then only read.
   std::vector<Tensor> eval_user_cache_;
-  std::vector<Tensor> eval_item_cache_;
+  // M [items, d] (eq. 13) and P [items, d] (W_i M + b of eq. 14), row-major
+  // and contiguous; item_state_ says how far each item's rows are filled.
+  enum ItemState : uint8_t { kItemCold = 0, kItemRepr = 1, kItemProjected = 2 };
+  std::vector<float> eval_item_repr_;
+  std::vector<float> eval_item_proj_;
+  std::vector<uint8_t> item_state_;
+  // W_u and W_i: the [d, d] column halves of the rating MLP's first weight.
+  std::vector<float> rating_w_user_;
+  std::vector<float> rating_w_item_;
 
   // Demand-paged user-representation store (see AttachUserReprCache).
   // While attached, eval_user_cache_ stays empty and every eval-mode

@@ -34,6 +34,23 @@ inline Tensor ApplyActivation(Activation activation, const Tensor& x) {
   return x;
 }
 
+/// The kernel-layer twin of `activation` (tensor/ cannot depend on nn/).
+inline kernels::FusedAct ToFusedAct(Activation activation) {
+  switch (activation) {
+    case Activation::kNone:
+      return kernels::FusedAct::kNone;
+    case Activation::kSigmoid:
+      return kernels::FusedAct::kSigmoid;
+    case Activation::kTanh:
+      return kernels::FusedAct::kTanh;
+    case Activation::kRelu:
+      return kernels::FusedAct::kRelu;
+    case Activation::kLeakyRelu:
+      return kernels::FusedAct::kLeakyRelu;
+  }
+  return kernels::FusedAct::kNone;
+}
+
 /// Human-readable activation name for logs and configs.
 inline const char* ActivationName(Activation activation) {
   switch (activation) {

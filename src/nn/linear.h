@@ -36,6 +36,7 @@ class Linear : public Module {
 
   int64_t in_dim() const { return in_dim_; }
   int64_t out_dim() const { return out_dim_; }
+  Activation activation() const { return activation_; }
   const Tensor& weight() const { return weight_; }
   const Tensor& bias() const { return bias_; }
 

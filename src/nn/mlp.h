@@ -36,6 +36,7 @@ class Mlp : public Module {
   int64_t in_dim() const { return layers_.front().in_dim(); }
   int64_t out_dim() const { return layers_.back().out_dim(); }
   size_t num_layers() const { return layers_.size(); }
+  const Linear& layer(size_t i) const { return layers_[i]; }
 
  private:
   std::vector<Linear> layers_;

@@ -257,12 +257,16 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   AtomicMax(max_batch_, batch.size());
 
   // Latency breakdown: a request's enqueue_ns (stamped by TopN) to here is
-  // queue wait; here to result-ready is exec. Timing is off (enqueue_ns 0)
-  // when nothing consumes it.
-  const bool timed = batch[0].enqueue_ns != 0;
-  const uint64_t admit_ns = timed ? trace::internal::NowNs() : 0;
-  if (timed) {
+  // queue wait; here to result-ready is exec. Timing is decided per
+  // request: enqueue_ns is 0 when nothing consumed timing at submission,
+  // and such a request reports no timing even if it shares the batch with
+  // timed ones (telemetry may be toggled between submissions).
+  const auto timed = [](const Request& r) { return r.enqueue_ns != 0; };
+  const bool any_timed = std::any_of(batch.begin(), batch.end(), timed);
+  const uint64_t admit_ns = any_timed ? trace::internal::NowNs() : 0;
+  if (any_timed) {
     for (const Request& r : batch) {
+      if (!timed(r)) continue;
       const uint64_t wait =
           admit_ns > r.enqueue_ns ? admit_ns - r.enqueue_ns : 0;
       h_queue_wait_ns.Record(wait);
@@ -316,7 +320,7 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   // (user, item) row list and score it in bounded chunks. ScoreRows is
   // per-row bitwise equal to Score regardless of co-batched rows, so the
   // flattening and re-chunking cannot change any request's scores — it
-  // only lets concurrent requests share GEMM batches. The flatten buffers
+  // only lets concurrent requests share ScoreRows calls. The flatten buffers
   // are admission-thread scratch: once warm, no allocation happens here.
   size_t total = 0;
   for (const std::vector<int64_t>& c : candidates) total += c.size();
@@ -349,10 +353,11 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   t_rows.Add(total);
   rows_scored_.fetch_add(total, std::memory_order_relaxed);
 
-  const uint64_t end_ns = timed ? trace::internal::NowNs() : 0;
+  const uint64_t end_ns = any_timed ? trace::internal::NowNs() : 0;
   const uint64_t exec_ns = end_ns > admit_ns ? end_ns - admit_ns : 0;
-  if (timed) {
+  if (any_timed) {
     for (const Request& r : batch) {
+      if (!timed(r)) continue;
       h_exec_ns.Record(exec_ns);
       if (live_trace_ != nullptr) {
         live_trace_->Record({"serve/exec", admit_ns, exec_ns, r.id, r.user,
@@ -366,6 +371,7 @@ void Server::ServeBatch(std::vector<Request>& batch) {
       const uint64_t parent = trace::CurrentContext().span_id;
       trace::internal::ThreadBuffer& buf = trace::internal::Buffer();
       for (const Request& r : batch) {
+        if (!timed(r)) continue;
         const uint64_t span_id =
             (static_cast<uint64_t>(buf.thread_index + 1) << 40) |
             ++buf.next_seq;
@@ -394,11 +400,12 @@ void Server::ServeBatch(std::vector<Request>& batch) {
     SelectTopNInPlace(&scored, config_.top_n);
     Reply reply;
     reply.recommendations.assign(scored.begin(), scored.end());
-    reply.queue_wait_ns =
-        timed && admit_ns > batch[i].enqueue_ns
-            ? admit_ns - batch[i].enqueue_ns
-            : 0;
-    reply.exec_ns = exec_ns;
+    if (timed(batch[i])) {
+      reply.queue_wait_ns = admit_ns > batch[i].enqueue_ns
+                                ? admit_ns - batch[i].enqueue_ns
+                                : 0;
+      reply.exec_ns = exec_ns;
+    }
     reply.batch_seq = batch_seq;
     batch[i].result.set_value(std::move(reply));
   }

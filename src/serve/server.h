@@ -84,8 +84,8 @@ struct ServerConfig {
 /// number of client threads through a bounded MPMC queue, and serves them
 /// from ONE admission loop that coalesces concurrently-waiting requests
 /// into shared batched work — one candidate sweep per batch, all requests'
-/// candidate rows flattened into shared ScoreRows calls so concurrent
-/// users share rating-MLP GEMM batches (docs/serving.md#daemon).
+/// candidate rows flattened into shared ScoreRows calls
+/// (docs/serving.md#daemon).
 ///
 /// Results are bitwise identical to per-request serving: candidate lists
 /// come from the same UninteractedItems / RetrieveCandidates helpers the
@@ -167,6 +167,8 @@ class Server {
   bool model_published() const;
   /// Whether the queue still accepts requests (false after Stop).
   bool accepting() const { return !queue_.closed(); }
+  /// Requests accepted but not yet taken into a batch.
+  size_t queue_depth() const { return queue_.size(); }
   SloTracker& slo() { return slo_; }
   const SloTracker& slo() const { return slo_; }
   /// The live trace ring; nullptr when no stats socket is configured.

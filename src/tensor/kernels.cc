@@ -28,7 +28,9 @@ namespace {
 // per-call level only: Dot/Axpy run inside these kernels' inner loops and
 // stay untouched, so the cost per GEMM/GEMV is one enabled-flag branch and
 // two thread-local stores. GemvRows counts one gemv per row (its rows ARE
-// gemv calls, bitwise), plus its own batched-call counter.
+// gemv calls, bitwise), plus its own batched-call counter. AddActDotRows
+// counts 4d+1 FLOPs per row: the q + table add, the activation, the w2
+// multiply-accumulate pair, and the output bias.
 const telemetry::Counter t_gemm_calls =
     telemetry::RegisterCounter("kernels/gemm_calls");
 const telemetry::Counter t_gemv_calls =
@@ -37,32 +39,53 @@ const telemetry::Counter t_gemv_rows_calls =
     telemetry::RegisterCounter("kernels/gemv_rows_calls");
 const telemetry::Counter t_gemv_multi_calls =
     telemetry::RegisterCounter("kernels/gemv_multi_calls");
+const telemetry::Counter t_add_act_dot_rows_calls =
+    telemetry::RegisterCounter("kernels/add_act_dot_rows_calls");
 const telemetry::Counter t_accum_calls =
     telemetry::RegisterCounter("kernels/backward_accum_calls");
 const telemetry::Counter t_flops = telemetry::RegisterCounter("kernels/flops");
+
+/// ActApply with the activation fixed at compile time, so per-element loops
+/// (AddActDotRows) carry no switch. ActApply dispatches here too: one
+/// definition of every formula keeps fused, composed and factorized paths
+/// bitwise in agreement.
+template <FusedAct kAct>
+inline float ActApplyT(float x, float leaky_slope) {
+  if constexpr (kAct == FusedAct::kSigmoid) {
+    // Branch on sign for numerical stability at large |x| (same formula as
+    // the standalone Sigmoid op, so fused and composed paths agree).
+    if (x >= 0.0f) {
+      const float z = std::exp(-x);
+      return 1.0f / (1.0f + z);
+    }
+    const float z = std::exp(x);
+    return z / (1.0f + z);
+  } else if constexpr (kAct == FusedAct::kTanh) {
+    return std::tanh(x);
+  } else if constexpr (kAct == FusedAct::kRelu) {
+    return x > 0.0f ? x : 0.0f;
+  } else if constexpr (kAct == FusedAct::kLeakyRelu) {
+    return x > 0.0f ? x : leaky_slope * x;
+  } else {
+    (void)leaky_slope;
+    return x;
+  }
+}
 
 }  // namespace
 
 float ActApply(FusedAct act, float x, float leaky_slope) {
   switch (act) {
     case FusedAct::kNone:
-      return x;
-    case FusedAct::kSigmoid: {
-      // Branch on sign for numerical stability at large |x| (same formula as
-      // the standalone Sigmoid op, so fused and composed paths agree).
-      if (x >= 0.0f) {
-        const float z = std::exp(-x);
-        return 1.0f / (1.0f + z);
-      }
-      const float z = std::exp(x);
-      return z / (1.0f + z);
-    }
+      return ActApplyT<FusedAct::kNone>(x, leaky_slope);
+    case FusedAct::kSigmoid:
+      return ActApplyT<FusedAct::kSigmoid>(x, leaky_slope);
     case FusedAct::kTanh:
-      return std::tanh(x);
+      return ActApplyT<FusedAct::kTanh>(x, leaky_slope);
     case FusedAct::kRelu:
-      return x > 0.0f ? x : 0.0f;
+      return ActApplyT<FusedAct::kRelu>(x, leaky_slope);
     case FusedAct::kLeakyRelu:
-      return x > 0.0f ? x : leaky_slope * x;
+      return ActApplyT<FusedAct::kLeakyRelu>(x, leaky_slope);
   }
   return x;
 }
@@ -354,6 +377,116 @@ void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
   }
 }
 
+namespace {
+
+#if defined(SCENEREC_KERNELS_X86)
+/// ActApplyT on four lanes for the piecewise-linear activations. Compare,
+/// select and multiply are per-lane IEEE ops, so each lane is bitwise the
+/// scalar formula (NaN included: it fails x > 0 in both).
+template <FusedAct kAct>
+inline __m128 ActSse2(__m128 x, __m128 slope) {
+  if constexpr (kAct == FusedAct::kRelu) {
+    return _mm_and_ps(_mm_cmpgt_ps(x, _mm_setzero_ps()), x);
+  } else if constexpr (kAct == FusedAct::kLeakyRelu) {
+    const __m128 positive = _mm_cmpgt_ps(x, _mm_setzero_ps());
+    return _mm_or_ps(_mm_and_ps(positive, x),
+                     _mm_andnot_ps(positive, _mm_mul_ps(slope, x)));
+  } else {
+    (void)slope;
+    return x;
+  }
+}
+#endif  // SCENEREC_KERNELS_X86
+
+/// Dot's lane bank over h = act(q + t) for the first `banked` elements (a
+/// multiple of kLanes), collapsed by Dot's reduction tree. GCC will not
+/// if-convert LeakyReLU's sign test around a multiply that may trap, so the
+/// scalar bank branches per element (10x slower on random signs) and never
+/// vectorizes; x86 builds therefore run the piecewise-linear activations
+/// as SSE2 (two xmm per bank, mul then add, never FMA). Sigmoid and tanh
+/// stay scalar, where their libm calls dominate anyway.
+template <FusedAct kAct>
+float ActDotBank(const float* SCENEREC_RESTRICT q,
+                 const float* SCENEREC_RESTRICT t,
+                 const float* SCENEREC_RESTRICT w2, int64_t banked,
+                 float leaky_slope) {
+#if defined(SCENEREC_KERNELS_X86)
+  if constexpr (kAct != FusedAct::kSigmoid && kAct != FusedAct::kTanh) {
+    const __m128 slope = _mm_set1_ps(leaky_slope);
+    __m128 lo = _mm_setzero_ps();
+    __m128 hi = _mm_setzero_ps();
+    for (int64_t j = 0; j < banked; j += kLanes) {
+      const __m128 xlo = _mm_add_ps(_mm_loadu_ps(q + j), _mm_loadu_ps(t + j));
+      const __m128 xhi =
+          _mm_add_ps(_mm_loadu_ps(q + j + 4), _mm_loadu_ps(t + j + 4));
+      lo = _mm_add_ps(
+          lo, _mm_mul_ps(_mm_loadu_ps(w2 + j), ActSse2<kAct>(xlo, slope)));
+      hi = _mm_add_ps(
+          hi, _mm_mul_ps(_mm_loadu_ps(w2 + j + 4), ActSse2<kAct>(xhi, slope)));
+    }
+    alignas(16) float lanes[kLanes];
+    _mm_store_ps(lanes, lo);
+    _mm_store_ps(lanes + 4, hi);
+    return ReduceLanes(lanes);
+  }
+#endif  // SCENEREC_KERNELS_X86
+  float acc[kLanes] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  for (int64_t j = 0; j < banked; j += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) {
+      acc[l] += w2[j + l] * ActApplyT<kAct>(q[j + l] + t[j + l], leaky_slope);
+    }
+  }
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+template <FusedAct kAct>
+void AddActDotRowsImpl(const float* SCENEREC_RESTRICT q,
+                       const float* SCENEREC_RESTRICT table,
+                       const int64_t* SCENEREC_RESTRICT idx, int64_t rows,
+                       int64_t d, const float* SCENEREC_RESTRICT w2, float b2,
+                       float leaky_slope, float* SCENEREC_RESTRICT out) {
+  const int64_t banked = d - d % kLanes;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* SCENEREC_RESTRICT t = table + idx[r] * d;
+    float total = ActDotBank<kAct>(q, t, w2, banked, leaky_slope);
+    for (int64_t j = banked; j < d; ++j) {
+      total += w2[j] * ActApplyT<kAct>(q[j] + t[j], leaky_slope);
+    }
+    out[r] = total + b2;
+  }
+}
+
+}  // namespace
+
+void AddActDotRows(const float* SCENEREC_RESTRICT q,
+                   const float* SCENEREC_RESTRICT table,
+                   const int64_t* SCENEREC_RESTRICT idx, int64_t rows,
+                   int64_t d, const float* SCENEREC_RESTRICT w2, float b2,
+                   FusedAct act, float leaky_slope,
+                   float* SCENEREC_RESTRICT out) {
+  TRACE_KERNEL("AddActDotRows", rows, d);
+  t_add_act_dot_rows_calls.Add(1);
+  t_flops.Add(static_cast<uint64_t>((4 * d + 1) * rows));
+  switch (act) {
+    case FusedAct::kNone:
+      return AddActDotRowsImpl<FusedAct::kNone>(q, table, idx, rows, d, w2,
+                                                b2, leaky_slope, out);
+    case FusedAct::kSigmoid:
+      return AddActDotRowsImpl<FusedAct::kSigmoid>(q, table, idx, rows, d, w2,
+                                                   b2, leaky_slope, out);
+    case FusedAct::kTanh:
+      return AddActDotRowsImpl<FusedAct::kTanh>(q, table, idx, rows, d, w2,
+                                                b2, leaky_slope, out);
+    case FusedAct::kRelu:
+      return AddActDotRowsImpl<FusedAct::kRelu>(q, table, idx, rows, d, w2,
+                                                b2, leaky_slope, out);
+    case FusedAct::kLeakyRelu:
+      return AddActDotRowsImpl<FusedAct::kLeakyRelu>(q, table, idx, rows, d,
+                                                     w2, b2, leaky_slope, out);
+  }
+}
+
 void GemvTAccum(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
                 const float* SCENEREC_RESTRICT g,
                 float* SCENEREC_RESTRICT dx) {
@@ -508,6 +641,25 @@ void GemvRef(const float* w, int64_t m, int64_t n, const float* x, float* y) {
 void GemvMultiRef(const float* w, int64_t m, int64_t n, const float* xs,
                   int64_t nq, float* ys) {
   for (int64_t q = 0; q < nq; ++q) GemvRef(w, m, n, xs + q * n, ys + q * m);
+}
+
+void AddActDotRowsRef(const float* q, const float* table, const int64_t* idx,
+                      int64_t rows, int64_t d, const float* w2, float b2,
+                      FusedAct act, float leaky_slope, float* out) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* t = table + idx[r] * d;
+    const int64_t banked = d - d % 8;
+    float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+    for (int64_t j = 0; j < banked; ++j) {
+      acc[j % 8] += w2[j] * ActApply(act, q[j] + t[j], leaky_slope);
+    }
+    float total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                  ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    for (int64_t j = banked; j < d; ++j) {
+      total += w2[j] * ActApply(act, q[j] + t[j], leaky_slope);
+    }
+    out[r] = total + b2;
+  }
 }
 
 void GemvTAccumRef(const float* w, int64_t m, int64_t n, const float* g,

@@ -37,6 +37,10 @@ namespace kernels {
 /// enum onto this one.
 enum class FusedAct { kNone, kSigmoid, kTanh, kRelu, kLeakyRelu };
 
+/// Negative-side slope of kLeakyRelu wherever a layer does not pass its own
+/// (LinearAct, LinearActRows, LeakyRelu and nn::Linear all use it).
+inline constexpr float kLeakySlope = 0.01f;
+
 /// Applies the activation to a pre-activation value.
 float ActApply(FusedAct act, float x, float leaky_slope);
 
@@ -80,6 +84,23 @@ void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
 void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
                const float* SCENEREC_RESTRICT xs, int64_t nq,
                float* SCENEREC_RESTRICT ys);
+
+/// The factorized two-layer head over rows of a table:
+///   out[r] = Dot(w2, act(q + table[idx[r], :])) + b2
+/// for a query q [d], a row-major table [*, d] and w2 [d]. The activated
+/// values are accumulated exactly like Dot (8 partial lanes, fixed-shape
+/// reduction, ascending scalar tail) and b2 is added last, so out[r] is
+/// bitwise Dot(w2, h, d) + b2 with h[j] = ActApply(act, q[j] + t[j]) — the
+/// second layer of a {., d, 1} MLP whose first layer was split into q and
+/// the table row. Rows are independent: a row's result does not depend on
+/// rows, idx order or which other rows share the call. No FMA is emitted,
+/// and nothing is allocated.
+void AddActDotRows(const float* SCENEREC_RESTRICT q,
+                   const float* SCENEREC_RESTRICT table,
+                   const int64_t* SCENEREC_RESTRICT idx, int64_t rows,
+                   int64_t d, const float* SCENEREC_RESTRICT w2, float b2,
+                   FusedAct act, float leaky_slope,
+                   float* SCENEREC_RESTRICT out);
 
 /// dx[0..n) += Wᵀ g for W [m,n], g [m]. Accumulates rows of W in ascending
 /// i via axpy, so the per-element order is fixed.
@@ -133,6 +154,12 @@ void AxpyRef(float alpha, const float* x, float* y, int64_t n);
 void GemvRef(const float* w, int64_t m, int64_t n, const float* x, float* y);
 void GemvMultiRef(const float* w, int64_t m, int64_t n, const float* xs,
                   int64_t nq, float* ys);
+/// Scalar twin of AddActDotRows with the same 8-lane order spelled out, so
+/// the two agree bitwise (unlike DotRef, whose plain order only agrees with
+/// Dot to a tolerance).
+void AddActDotRowsRef(const float* q, const float* table, const int64_t* idx,
+                      int64_t rows, int64_t d, const float* w2, float b2,
+                      FusedAct act, float leaky_slope, float* out);
 void GemvTAccumRef(const float* w, int64_t m, int64_t n, const float* g,
                    float* dx);
 void GerAccumRef(const float* g, const float* x, int64_t m, int64_t n,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/telemetry.h"
 #include "eval/evaluator.h"
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
@@ -394,6 +395,80 @@ TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
   for (size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(recs[i].item, expected[i].second) << "rank " << i;
     EXPECT_EQ(recs[i].score, expected[i].first) << "rank " << i;
+  }
+}
+
+// NaN and ±inf interleaved with tied finite scores: every non-finite score
+// ranks after all finite ones, by item id, and the partial selection equals
+// a full sort under that order for every n (NaN in the score comparison
+// would break the strict weak ordering nth_element relies on). Each call
+// counts its non-finite candidates in serve/nonfinite_scores.
+TEST(TopNTest, NonFiniteScoresRankLastAndMatchFullSort) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const int64_t num_items = kScoreBlockSize + 77;
+  auto score = [&](int64_t, int64_t item) {
+    switch ((item * 13) % 7) {
+      case 0:
+        return nan;
+      case 1:
+        return inf;
+      case 2:
+        return -inf;
+      default:
+        return static_cast<float>(item % 5);
+    }
+  };
+  std::vector<std::pair<float, int64_t>> finite;
+  std::vector<int64_t> nonfinite;
+  for (int64_t i = 0; i < num_items; ++i) {
+    if (std::isfinite(score(0, i))) {
+      finite.push_back({score(0, i), i});
+    } else {
+      nonfinite.push_back(i);
+    }
+  }
+  std::sort(finite.begin(), finite.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<int64_t> expected;
+  for (const auto& [s, item] : finite) expected.push_back(item);
+  expected.insert(expected.end(), nonfinite.begin(), nonfinite.end());
+
+  std::vector<Recommendation> scored;
+  for (int64_t i = num_items - 1; i >= 0; --i) {
+    scored.push_back({i, score(0, i)});
+  }
+  // The documented order itself, as a full sort.
+  std::vector<Recommendation> full = scored;
+  std::sort(full.begin(), full.end(), BetterRecommendation);
+  for (size_t r = 0; r < full.size(); ++r) {
+    ASSERT_EQ(full[r].item, expected[r]) << "rank " << r;
+  }
+  telemetry::Telemetry::Reset();
+  telemetry::Telemetry::SetEnabled(true);
+  for (int64_t n : {int64_t{1}, int64_t{10},
+                    static_cast<int64_t>(finite.size()),
+                    static_cast<int64_t>(finite.size()) + 5, num_items}) {
+    SCOPED_TRACE(n);
+    const std::vector<Recommendation> got = SelectTopN(scored, n);
+    ASSERT_EQ(got.size(), static_cast<size_t>(n));
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_EQ(got[r].item, expected[r]) << "rank " << r;
+    }
+  }
+  EXPECT_EQ(telemetry::Telemetry::Snapshot().CounterValue(
+                "serve/nonfinite_scores"),
+            5 * nonfinite.size());
+  telemetry::Telemetry::SetEnabled(false);
+  telemetry::Telemetry::Reset();
+
+  // The serving helper takes the same order end to end.
+  UserItemGraph train = UserItemGraph::Build(1, num_items, {});
+  const auto recs = TopNRecommendations(ScoreFn(score), train, 0, num_items);
+  ASSERT_EQ(recs.size(), static_cast<size_t>(num_items));
+  for (size_t r = 0; r < recs.size(); ++r) {
+    ASSERT_EQ(recs[r].item, expected[r]) << "rank " << r;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bench/bench_util.h"
 #include "models/factory.h"
 #include "train/trainer.h"
@@ -19,6 +21,11 @@ struct LearningCase {
   double min_hr;
   float learning_rate;
 };
+
+// Without this gtest prints the case as raw bytes, which include the
+// address of `model`; that address changes from run to run, and the
+// printed value becomes part of the test name CTest registers.
+void PrintTo(const LearningCase& c, std::ostream* os) { *os << c.model; }
 
 class ModelLearning : public ::testing::TestWithParam<LearningCase> {
  protected:

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -592,6 +593,88 @@ TEST(KernelEquivalenceTest, GemvMultiEmptyMatrix) {
   std::vector<float> ys(1, 123.0f);  // must stay untouched for m = 0
   kernels::GemvMulti(nullptr, 0, n, xs.data(), nq, ys.data());
   EXPECT_EQ(ys[0], 123.0f);
+}
+
+const kernels::FusedAct kAllActs[] = {
+    kernels::FusedAct::kNone, kernels::FusedAct::kSigmoid,
+    kernels::FusedAct::kTanh, kernels::FusedAct::kRelu,
+    kernels::FusedAct::kLeakyRelu};
+
+// The factorized rating-head kernel against its scalar twin: bitwise, for
+// every activation, at widths straddling the 8-lane bank (64 is the
+// serving width), over repeated and unordered table rows.
+TEST(KernelEquivalenceTest, AddActDotRowsMatchesRefBitwise) {
+  Rng rng(53);
+  const int64_t table_rows = 11;
+  const std::vector<int64_t> idx = {3, 0, 10, 3, 7, 1, 9, 9, 4};
+  const int64_t rows = static_cast<int64_t>(idx.size());
+  for (int64_t d : {1LL, 3LL, 17LL, 63LL, 64LL, 65LL}) {
+    const std::vector<float> q = RandomVec(d, rng);
+    const std::vector<float> table = RandomVec(table_rows * d, rng);
+    const std::vector<float> w2 = RandomVec(d, rng);
+    const float b2 = RandomVec(1, rng)[0];
+    for (kernels::FusedAct act : kAllActs) {
+      std::vector<float> want(static_cast<size_t>(rows));
+      std::vector<float> got(static_cast<size_t>(rows));
+      kernels::AddActDotRowsRef(q.data(), table.data(), idx.data(), rows, d,
+                                w2.data(), b2, act, kernels::kLeakySlope,
+                                want.data());
+      kernels::AddActDotRows(q.data(), table.data(), idx.data(), rows, d,
+                             w2.data(), b2, act, kernels::kLeakySlope,
+                             got.data());
+      for (int64_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(got[static_cast<size_t>(r)], want[static_cast<size_t>(r)])
+            << "d=" << d << " act=" << static_cast<int>(act) << " r=" << r;
+      }
+      // The documented form: the output layer of a {., d, 1} MLP, i.e.
+      // Dot(w2, act(q + t)) + b2 with the shared Dot kernel.
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* t = table.data() + idx[static_cast<size_t>(r)] * d;
+        std::vector<float> h(static_cast<size_t>(d));
+        for (int64_t j = 0; j < d; ++j) {
+          h[static_cast<size_t>(j)] =
+              kernels::ActApply(act, q[static_cast<size_t>(j)] + t[j],
+                                kernels::kLeakySlope);
+        }
+        EXPECT_EQ(got[static_cast<size_t>(r)],
+                  kernels::Dot(w2.data(), h.data(), d) + b2)
+            << "d=" << d << " act=" << static_cast<int>(act) << " r=" << r;
+      }
+    }
+  }
+}
+
+// A row's score does not depend on how many rows share the call.
+TEST(KernelEquivalenceTest, AddActDotRowsRowIndependentOfBatch) {
+  Rng rng(54);
+  const int64_t d = 64;
+  const int64_t rows = 37;
+  const std::vector<float> q = RandomVec(d, rng);
+  const std::vector<float> table = RandomVec(rows * d, rng);
+  const std::vector<float> w2 = RandomVec(d, rng);
+  std::vector<int64_t> idx(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) idx[static_cast<size_t>(r)] = rows - 1 - r;
+  for (kernels::FusedAct act : kAllActs) {
+    std::vector<float> whole(static_cast<size_t>(rows));
+    kernels::AddActDotRows(q.data(), table.data(), idx.data(), rows, d,
+                           w2.data(), 0.25f, act, kernels::kLeakySlope,
+                           whole.data());
+    for (int64_t chunk : {1LL, 4LL, 8LL, 9LL}) {
+      std::vector<float> pieces(static_cast<size_t>(rows));
+      for (int64_t begin = 0; begin < rows; begin += chunk) {
+        const int64_t len = std::min(chunk, rows - begin);
+        kernels::AddActDotRows(q.data(), table.data(), idx.data() + begin,
+                               len, d, w2.data(), 0.25f, act,
+                               kernels::kLeakySlope, pieces.data() + begin);
+      }
+      for (int64_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(pieces[static_cast<size_t>(r)],
+                  whole[static_cast<size_t>(r)])
+            << "chunk=" << chunk << " act=" << static_cast<int>(act)
+            << " r=" << r;
+      }
+    }
+  }
 }
 
 TEST(KernelEquivalenceTest, DotQ8MatchesRefExactly) {

@@ -6,6 +6,8 @@
 // parallel block sweep) and ASan+UBSan (span/buffer arithmetic) via
 // tools/check.sh.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -22,6 +24,8 @@
 #include "graph/bipartite_graph.h"
 #include "models/factory.h"
 #include "models/scene_rec.h"
+#include "tensor/tensor.h"
+#include "train/trainer.h"
 
 namespace scenerec {
 namespace {
@@ -35,6 +39,16 @@ std::vector<std::string> AllModelNames() {
   names.push_back("ItemPop");
   names.push_back("ItemRank");
   return names;
+}
+
+const char* const kSceneRecVariants[] = {"SceneRec", "SceneRec-noitem",
+                                         "SceneRec-nosce", "SceneRec-noatt"};
+
+/// eq. (14) in the concat form training uses, under NoGradGuard — the
+/// reference the factorized eval head is held against.
+float ConcatScore(Recommender& model, int64_t user, int64_t item) {
+  NoGradGuard no_grad;
+  return model.ScoreForTraining(user, item).scalar();
 }
 
 class ScoringTest : public ::testing::Test {
@@ -217,6 +231,136 @@ TEST_F(ScoringTest, TopNIdenticalAcrossPathsForAllModels) {
       }
     }
   }
+}
+
+// SceneRec's eval head is the factorized eq. (14): every eval path (Score,
+// ScoreBlock, ScoreRows over several users) stays within 1e-5 absolute of
+// the concat form ScoreForTraining keeps, untrained and after training, for
+// every variant. Only the float grouping of the first layer differs.
+TEST_F(ScoringTest, FactorizedHeadWithinToleranceOfConcatForm) {
+  const std::vector<int64_t> items = AllItems();
+  const std::vector<int64_t> users = {0, 7, 29};
+  std::vector<int64_t> row_users;
+  std::vector<int64_t> row_items;
+  for (int64_t user : users) {
+    row_users.insert(row_users.end(), items.size(), user);
+    row_items.insert(row_items.end(), items.begin(), items.end());
+  }
+  for (const char* name : kSceneRecVariants) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
+    ASSERT_NE(model, nullptr);
+    for (const bool trained : {false, true}) {
+      SCOPED_TRACE(trained ? "trained" : "untrained");
+      if (trained) {
+        TrainConfig train;
+        train.epochs = 2;
+        train.patience = 0;
+        ASSERT_TRUE(TrainAndEvaluate(*model, split_, train_graph_, train).ok());
+      }
+      model->OnEvalBegin();
+      std::vector<float> rows(row_users.size());
+      model->ScoreRows(row_users, row_items, rows);
+      std::vector<float> block(items.size());
+      float max_gap = 0.0f;
+      size_t r = 0;
+      for (int64_t user : users) {
+        model->ScoreBlock(user, items, block);
+        for (size_t k = 0; k < items.size(); ++k, ++r) {
+          const float concat = ConcatScore(*model, user, items[k]);
+          const float single = model->Score(user, items[k]);
+          max_gap = std::max({max_gap, std::fabs(block[k] - concat),
+                              std::fabs(rows[r] - concat),
+                              std::fabs(single - concat)});
+        }
+      }
+      EXPECT_LE(max_gap, 1e-5f);
+    }
+  }
+}
+
+// P filled by PrepareParallelScoring (one GemvMulti per item chunk) is
+// bitwise the P a serial sweep fills item by item with Gemv, here in
+// reverse item order.
+TEST_F(ScoringTest, PreparedRatingHeadTableEqualsLazyFill) {
+  const int64_t num_items = dataset_.num_items;
+  for (const char* name : kSceneRecVariants) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
+    ASSERT_NE(model, nullptr);
+    auto* scene_rec = dynamic_cast<SceneRec*>(model.get());
+    ASSERT_NE(scene_rec, nullptr);
+    model->OnEvalBegin();
+    std::vector<std::vector<float>> lazy(static_cast<size_t>(num_items));
+    for (int64_t item = num_items - 1; item >= 0; --item) {
+      const std::span<const float> row = scene_rec->RatingHeadItemRow(item);
+      lazy[static_cast<size_t>(item)].assign(row.begin(), row.end());
+    }
+    model->OnEvalBegin();
+    ThreadPool pool(4);
+    ASSERT_TRUE(model->PrepareParallelScoring(pool));
+    for (int64_t item = 0; item < num_items; ++item) {
+      const std::span<const float> row = scene_rec->RatingHeadItemRow(item);
+      const std::vector<float>& want = lazy[static_cast<size_t>(item)];
+      ASSERT_EQ(row.size(), want.size());
+      for (size_t j = 0; j < row.size(); ++j) {
+        ASSERT_EQ(row[j], want[j]) << "item " << item << " col " << j;
+      }
+    }
+  }
+}
+
+// On a trained mini-model, swapping the concat head for the factorized one
+// leaves the sampled-100 and full-ranking HR/NDCG where they were.
+TEST_F(ScoringTest, TrainedHeadsAgreeOnRankingMetrics) {
+  SyntheticConfig config;
+  config.name = "head-parity";
+  config.num_users = 40;
+  config.num_items = 200;
+  config.num_categories = 10;
+  config.num_scenes = 6;
+  config.sessions_per_user = 4;
+  config.session_length = 5;
+  auto dataset = GenerateSyntheticDataset(config, 7);
+  ASSERT_TRUE(dataset.ok());
+  Rng rng(3);
+  auto split = MakeLeaveOneOutSplit(dataset.value(), /*num_negatives=*/100,
+                                    rng);
+  ASSERT_TRUE(split.ok());
+  const UserItemGraph graph =
+      UserItemGraph::Build(dataset.value().num_users,
+                           dataset.value().num_items, split.value().train);
+  const SceneGraph scene = dataset.value().BuildSceneGraph();
+  ModelContext context;
+  context.user_item = &graph;
+  context.scene = &scene;
+  ModelFactoryConfig factory;
+  factory.embedding_dim = 16;
+  factory.max_neighbors = 8;
+  auto made = MakeRecommender("SceneRec", context, factory);
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<Recommender> model = std::move(made).value();
+  TrainConfig train;
+  train.epochs = 3;
+  train.patience = 0;
+  ASSERT_TRUE(TrainAndEvaluate(*model, split.value(), graph, train).ok());
+
+  model->OnEvalBegin();
+  const ScoreFn concat = [&](int64_t user, int64_t item) {
+    return ConcatScore(*model, user, item);
+  };
+  const auto& test = split.value().test;
+  const RankingMetrics sampled_concat = EvaluateRanking(concat, test, 10);
+  const RankingMetrics sampled =
+      EvaluateRanking(model->BlockScorer(), test, 10);
+  const RankingMetrics full_concat =
+      EvaluateFullRanking(concat, graph, test, 10);
+  const RankingMetrics full =
+      EvaluateFullRanking(model->BlockScorer(), graph, test, 10);
+  EXPECT_NEAR(sampled.hr, sampled_concat.hr, 1e-3);
+  EXPECT_NEAR(sampled.ndcg, sampled_concat.ndcg, 1e-3);
+  EXPECT_NEAR(full.hr, full_concat.hr, 1e-3);
+  EXPECT_NEAR(full.ndcg, full_concat.ndcg, 1e-3);
 }
 
 // Masked-to-nothing edge case: when the user has interacted with everything

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -249,8 +250,9 @@ class ServeTest : public ::testing::Test {
 
 // Coalescing must be invisible in results: per-request (max_batch=1) and
 // batched admission, driven by concurrent clients, both return exactly the
-// library path's lists for every user. Covers the cross-user ScoreRows
-// flattening (SceneRec) and the plain per-user path (BPR-MF).
+// library path's lists for every user. Covers the daemon's flattening of
+// several users' rows into shared ScoreRows calls, for SceneRec's
+// factorized head and for BPR-MF.
 TEST_F(ServeTest, FullCatalogBitwiseMatchesLibraryForBatchedAndSequential) {
   for (const char* name : {"BPR-MF", "SceneRec"}) {
     SCOPED_TRACE(name);
@@ -551,6 +553,45 @@ TEST_F(ServeTest, RequestTicketsCarryBreakdownAndUniqueIds) {
   EXPECT_EQ(exec->data.count, 8u);
   server.Stop();
   telemetry::Telemetry::SetEnabled(false);
+  telemetry::Telemetry::Reset();
+}
+
+// Regression test: timing is decided per request, not from the batch's
+// first request. A request submitted while telemetry is off (enqueue_ns 0)
+// that coalesces behind a timed one must not report the raw monotonic
+// clock as its queue wait.
+TEST_F(ServeTest, UntimedRequestBehindTimedOneReportsNoQueueWait) {
+  telemetry::Telemetry::Reset();
+  telemetry::Telemetry::SetEnabled(true);
+  std::shared_ptr<Recommender> model = MakeModel("BPR-MF", 65);
+  ASSERT_NE(model, nullptr);
+  serve::Server server(Config(/*max_batch=*/2, 0), graph_);
+  server.Publish(model);
+  // Both requests are queued before the admission loop starts, so they
+  // form one batch in submission order: the timed request first. A request
+  // decides its timing before it enters the queue, so once the queue holds
+  // it, telemetry can be switched off for the second one.
+  serve::Server::RequestTicket timed_ticket;
+  std::vector<Recommendation> timed_got;
+  std::thread timed_client([&] {
+    EXPECT_TRUE(server.TopN(0, &timed_got, &timed_ticket));
+  });
+  while (server.queue_depth() < 1) std::this_thread::yield();
+  telemetry::Telemetry::SetEnabled(false);
+  serve::Server::RequestTicket untimed_ticket;
+  std::vector<Recommendation> untimed_got;
+  std::thread untimed_client([&] {
+    EXPECT_TRUE(server.TopN(1, &untimed_got, &untimed_ticket));
+  });
+  while (server.queue_depth() < 2) std::this_thread::yield();
+  server.Start();
+  timed_client.join();
+  untimed_client.join();
+  EXPECT_EQ(timed_ticket.batch_seq, untimed_ticket.batch_seq);
+  EXPECT_GT(timed_ticket.queue_wait_ns, 0u);
+  EXPECT_EQ(untimed_ticket.queue_wait_ns, 0u);
+  EXPECT_EQ(untimed_ticket.exec_ns, 0u);
+  server.Stop();
   telemetry::Telemetry::Reset();
 }
 

@@ -369,8 +369,8 @@ int SelfTest(std::string dir) {
         static_cast<unsigned long long>(matched_b.load()));
   }
 
-  // Phase 3: the cross-user ScoreRows fast path — a SceneRec daemon batch
-  // must be bitwise identical to per-request library serving.
+  // Phase 3: SceneRec through the daemon's coalesced ScoreRows calls — a
+  // daemon batch must be bitwise identical to per-request library serving.
   {
     ModelContext scene_context;
     scene_context.user_item = &world.train_graph;
@@ -387,10 +387,6 @@ int SelfTest(std::string dir) {
                                   world.train_graph, scene_train);
         !r.ok()) {
       return Fail("scenerec train", r.status());
-    }
-    if (!scene_model->SupportsCrossUserScoring()) {
-      std::fprintf(stderr, "FAIL SceneRec lost its ScoreRows override\n");
-      return 1;
     }
     scene_model->OnEvalBegin();
     std::vector<std::vector<Recommendation>> expected(
@@ -417,7 +413,7 @@ int SelfTest(std::string dir) {
     server.Stop();
     const serve::Server::Stats stats = server.stats();
     std::printf(
-        "scenerec: 200 requests on the cross-user ScoreRows path bitwise "
+        "scenerec: 200 requests through coalesced ScoreRows calls bitwise "
         "match library serving (%llu batches, largest %llu)\n",
         static_cast<unsigned long long>(stats.batches),
         static_cast<unsigned long long>(stats.max_batch));
