@@ -4,6 +4,8 @@
 // paper experiments; they document the per-op cost model that the training
 // times in Table 2 decompose into.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/malloc_tuning.h"
@@ -15,6 +17,7 @@
 #include "nn/embedding.h"
 #include "nn/mlp.h"
 #include "tensor/arena.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace scenerec {
@@ -105,6 +108,28 @@ void BM_MatVecLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * rows * n * n);
 }
 BENCHMARK(BM_MatVecLoop)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_GemvMulti(benchmark::State& state) {
+  // The exact retrieval sweep's kernel (docs/kernels.md): nq queries
+  // against one pass over a 32,768 x 64 item matrix, the shape of the
+  // two-stage serving benchmark's catalog. Per-query cost is
+  // real_time / nq; every nq runs on the same multi-query bank.
+  const int64_t m = 32768;
+  const int64_t n = 64;
+  const int64_t nq = state.range(0);
+  Rng rng(14);
+  std::vector<float> w(static_cast<size_t>(m * n));
+  std::vector<float> xs(static_cast<size_t>(nq * n));
+  for (float& v : w) v = rng.NextFloat(-1.0f, 1.0f);
+  for (float& v : xs) v = rng.NextFloat(-1.0f, 1.0f);
+  std::vector<float> ys(static_cast<size_t>(nq * m));
+  for (auto _ : state) {
+    kernels::GemvMulti(w.data(), m, n, xs.data(), nq, ys.data());
+    benchmark::DoNotOptimize(ys.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * nq);
+}
+BENCHMARK(BM_GemvMulti)->Arg(1)->Arg(3)->Arg(4)->Arg(8);
 
 void BM_CosineSimilarityFused(benchmark::State& state) {
   Rng rng(13);

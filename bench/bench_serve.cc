@@ -18,9 +18,11 @@
 // p50_us / p99_us request latency scraped from the daemon's
 // serve/request_ns telemetry histogram. BM_ServeBatchedRetrieval over
 // BM_ServePerRequestRetrieval QPS is the batching gain — host-dependent,
-// 1.5-2.5x on a shared 4-vCPU VM and >2x on a 1-CPU host (docs/serving.md)
-// — at bitwise-identical results: equality against the library paths is
-// CHECKed for every user during setup and for every driven request.
+// 1.8x in the committed 4-vCPU recording (both rows sweep the catalog on
+// three lanes of the exact index's sweep pool) and >2x on a 1-CPU host
+// (docs/serving.md) — at bitwise-identical results: equality against the
+// library paths is CHECKed for every user during setup and for every
+// driven request.
 // tools/bench.sh records the suite in BENCH_serve.json for bench_diff.
 
 #include <benchmark/benchmark.h>

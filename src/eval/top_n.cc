@@ -122,10 +122,15 @@ void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
   SCENEREC_CHECK(out != nullptr);
   out->clear();
   out->reserve(static_cast<size_t>(train_graph.num_items()));
-  for (int64_t item = 0; item < train_graph.num_items(); ++item) {
-    if (train_graph.HasInteraction(user, item)) continue;
-    out->push_back(item);
+  // One walk of the catalog alongside the user's sorted, duplicate-free
+  // interaction list, emitting the gaps between interacted items: the same
+  // ids a HasInteraction filter keeps, without a binary search per item.
+  int64_t next = 0;
+  for (const int64_t seen : train_graph.ItemsOfUser(user)) {
+    for (; next < seen; ++next) out->push_back(next);
+    next = seen + 1;
   }
+  for (; next < train_graph.num_items(); ++next) out->push_back(next);
 }
 
 std::vector<int64_t> UninteractedItems(const UserItemGraph& train_graph,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "tensor/kernels.h"
 
@@ -15,61 +16,96 @@
 namespace scenerec {
 
 namespace {
-// Rows scored per Gemv call: bounds the scratch buffer while keeping calls
-// long enough to amortize the virtual-dispatch and trace overhead.
-constexpr int64_t kScanTile = 4096;
+// Rows scored per Gemv/GemvMulti call: bounds the scratch buffer while
+// keeping calls long enough to amortize the dispatch and trace overhead,
+// and small enough that MultiSearch's chunks of whole tiles split a
+// 32k-item catalog evenly across the sweep lanes.
+constexpr int64_t kScanTile = 1024;
 
-/// Bounded top-k selection: offered candidates flow through a worst-on-top
-/// heap of at most k entries, and Take() returns exactly what SelectTopK
-/// over the fully materialized candidate list would. BetterCandidate is a
-/// strict TOTAL order (score desc, lower id wins ties), so the sorted
-/// top-k is unique — any selection algorithm must produce it. The win is
-/// cost: a steady-state Offer is one compare against the current worst
-/// instead of a push_back, and the O(num_items) buffer plus nth_element
-/// pass disappear, leaving the scan itself as the dominant term.
+// Fewest tiles one MultiSearch chunk holds, so a catalog of fewer than
+// twice this many tiles is swept on the calling thread: a chunk must
+// outweigh the cost of waking a lane and merging its survivors.
+constexpr int64_t kFanOutGrainTiles = 2;
+
+/// The exact sweep's pool: HardwareConcurrency() - 1 lanes, the calling
+/// thread being one of them, so one core stays free for the thread that
+/// opens, indexes and publishes the next snapshot. Built on first use and
+/// never resized or destroyed, so every MultiSearch in the process (the
+/// daemon's admission thread, benchmarks, tests) sweeps with the same
+/// lanes. On a 1-CPU host it has no workers and every sweep runs inline.
+ThreadPool& SweepPool() {
+  static ThreadPool* const pool = new ThreadPool(
+      std::max<int64_t>(1, ThreadPool::HardwareConcurrency() - 1));
+  return *pool;
+}
+
+/// Bounded top-k selection. Offered candidates collect in a buffer of at
+/// most 2k entries; whenever it fills, one nth_element keeps its best k
+/// and their worst score becomes the threshold, below which later offers
+/// are dropped unseen. Take() returns exactly what SelectTopK over the
+/// fully materialized candidate list would: BetterCandidate is a strict
+/// TOTAL order (score desc, lower id wins ties), so the sorted top-k is
+/// unique — any selection algorithm must produce it — and a candidate
+/// scoring strictly below k kept ones can never be in it. The win is cost:
+/// a steady-state Offer is one compare against the threshold, a kept one
+/// a push_back plus an amortized O(1) share of the selection, so the scan
+/// itself stays the dominant term.
 class BoundedTopK {
  public:
   explicit BoundedTopK(int64_t k) : k_(static_cast<size_t>(k)) {
-    heap_.reserve(k_);
+    kept_.reserve(2 * k_);
   }
 
   void Offer(int64_t item, float score) {
-    if (heap_.size() < k_) {
-      heap_.push_back({item, score});
-      std::push_heap(heap_.begin(), heap_.end(), BetterCandidate);
-      return;
-    }
-    // front() is the worst kept candidate; anything not strictly better
-    // cannot be in the top k.
-    if (!BetterCandidate({item, score}, heap_.front())) return;
-    std::pop_heap(heap_.begin(), heap_.end(), BetterCandidate);
-    heap_.back() = {item, score};
-    std::push_heap(heap_.begin(), heap_.end(), BetterCandidate);
+    // Strictly below the threshold (or NaN): k kept candidates beat it.
+    if (full_ && !(score >= threshold_)) return;
+    kept_.push_back({item, score});
+    if (kept_.size() == 2 * k_) Shrink();
+  }
+
+  /// Offers every candidate `other` kept. Top-k under a strict total order
+  /// is unique and each chunk's kept set holds every member of the overall
+  /// top-k that lies in its rows, so absorbing the chunks' sets leaves
+  /// exactly the top-k one serial scan over all rows would.
+  void Absorb(const BoundedTopK& other) {
+    for (const RetrievalCandidate& c : other.kept_) Offer(c.item, c.score);
   }
 
   /// Moves out the kept candidates, best first (SelectTopK's order).
   void Take(std::vector<RetrievalCandidate>* out) {
-    std::sort_heap(heap_.begin(), heap_.end(), BetterCandidate);
-    *out = std::move(heap_);
+    if (kept_.size() > k_) Shrink();
+    std::sort(kept_.begin(), kept_.end(), BetterCandidate);
+    *out = std::move(kept_);
   }
 
-  bool full() const { return heap_.size() >= k_; }
-  float worst_score() const { return heap_.front().score; }
+  bool full() const { return full_; }
+  float worst_score() const { return threshold_; }
 
  private:
+  /// Keeps the best k candidates; the k-th best's score is the threshold.
+  void Shrink() {
+    const auto kth = kept_.begin() + static_cast<ptrdiff_t>(k_ - 1);
+    std::nth_element(kept_.begin(), kth, kept_.end(), BetterCandidate);
+    threshold_ = kth->score;
+    full_ = true;
+    kept_.resize(k_);
+  }
+
   size_t k_;
-  std::vector<RetrievalCandidate> heap_;
+  std::vector<RetrievalCandidate> kept_;
+  bool full_ = false;
+  float threshold_ = 0.0f;
 };
 
 /// Feeds a tile of scan scores (item `base + r` scores `scores[r]`, plus
 /// `bias` when the index has one) into `top`. Semantically this is Offer
-/// per row; the fast path only skips rows a full heap would reject anyway
-/// (score strictly below the current worst — such a row loses the
-/// BetterCandidate comparison no matter its id), so the kept set is
-/// identical to offering every row. On x86-64 the threshold test runs four
-/// rows at a time: one SSE2 compare+movemask discards the typical block
-/// without touching the heap, which matters because this loop runs
-/// num_items times per query and is NOT amortized by batching.
+/// per row; the fast path only skips rows a full top-k would reject anyway
+/// (score strictly below the threshold — such a row loses the
+/// BetterCandidate comparison to k kept rows whatever its id), so the kept
+/// set is identical to offering every row. On x86-64 the threshold test
+/// runs four rows at a time: one SSE2 compare+movemask discards the
+/// typical block without touching the top-k, which matters because this
+/// loop runs num_items times per query and is NOT amortized by batching.
 void OfferRows(const float* SCENEREC_RESTRICT scores,
                const float* SCENEREC_RESTRICT bias, int64_t base,
                int64_t rows, BoundedTopK* top) {
@@ -177,15 +213,14 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
   }
   if (emb_.num_items == 0 || nq == 0) return;
   const bool int8_scan = opt_.quantize_int8;
-  std::vector<BoundedTopK> tops;
-  tops.reserve(static_cast<size_t>(nq));
+  std::vector<int64_t> keeps(static_cast<size_t>(nq));
   for (int64_t q = 0; q < nq; ++q) {
     if (stats != nullptr) {
       (*stats)[static_cast<size_t>(q)].lists_probed = 1;
       (*stats)[static_cast<size_t>(q)].items_scanned = emb_.num_items;
     }
-    tops.emplace_back(std::min(
-        int8_scan ? ks[q] * opt_.rescore_factor : ks[q], emb_.num_items));
+    keeps[static_cast<size_t>(q)] = std::min(
+        int8_scan ? ks[q] * opt_.rescore_factor : ks[q], emb_.num_items);
   }
 
   std::vector<Sq8Matrix::EncodedQuery> eqs;
@@ -202,30 +237,58 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
   // scan moves on, so the matrix streams through cache once per batch
   // rather than once per query. Scores per (row, query) are bitwise the
   // single-query scan's (GemvMulti rows are fixed-order Dot; the int8
-  // kernels are integer and order-free), and everything per query below is
-  // verbatim Search.
-  const int64_t tile = std::min(kScanTile, emb_.num_items);
-  std::vector<float> scores(static_cast<size_t>(nq * tile));
-  for (int64_t r0 = 0; r0 < emb_.num_items; r0 += kScanTile) {
-    const int64_t rows = std::min(kScanTile, emb_.num_items - r0);
-    if (int8_scan) {
-      for (int64_t q = 0; q < nq; ++q) {
-        sq8_.ScoreRows(eqs[static_cast<size_t>(q)], r0, rows,
-                       scores.data() + q * rows);
-      }
-    } else {
-      kernels::GemvMulti(emb_.items + r0 * emb_.dim, rows, emb_.dim,
-                         queries.data(), nq, scores.data());
-    }
+  // kernels are integer and order-free).
+  //
+  // The tiles split into contiguous chunks across the sweep pool's lanes.
+  // Each chunk keeps its own bounded top-k per query, and after the join
+  // each query's chunk survivors are absorbed in chunk order into the
+  // first chunk's — exactly the serial top-k (BoundedTopK::Absorb), so
+  // everything per query stays verbatim Search whatever the lane count.
+  ThreadPool& pool = SweepPool();
+  const int64_t num_tiles = (emb_.num_items + kScanTile - 1) / kScanTile;
+  const int64_t num_chunks = std::clamp<int64_t>(
+      num_tiles / kFanOutGrainTiles, 1, pool.num_threads());
+  std::vector<std::vector<BoundedTopK>> chunk_tops(
+      static_cast<size_t>(num_chunks));
+  const auto sweep_chunk = [&](int64_t chunk) {
+    std::vector<BoundedTopK>& tops = chunk_tops[static_cast<size_t>(chunk)];
+    tops.reserve(static_cast<size_t>(nq));
     for (int64_t q = 0; q < nq; ++q) {
-      OfferRows(scores.data() + q * rows, emb_.bias, r0, rows,
-                &tops[static_cast<size_t>(q)]);
+      tops.emplace_back(keeps[static_cast<size_t>(q)]);
     }
-  }
+    const int64_t tile_begin = chunk * num_tiles / num_chunks;
+    const int64_t tile_end = (chunk + 1) * num_tiles / num_chunks;
+    std::vector<float> scores(
+        static_cast<size_t>(nq * std::min(kScanTile, emb_.num_items)));
+    for (int64_t t = tile_begin; t < tile_end; ++t) {
+      const int64_t r0 = t * kScanTile;
+      const int64_t rows = std::min(kScanTile, emb_.num_items - r0);
+      if (int8_scan) {
+        for (int64_t q = 0; q < nq; ++q) {
+          sq8_.ScoreRows(eqs[static_cast<size_t>(q)], r0, rows,
+                         scores.data() + q * rows);
+        }
+      } else {
+        kernels::GemvMulti(emb_.items + r0 * emb_.dim, rows, emb_.dim,
+                           queries.data(), nq, scores.data());
+      }
+      for (int64_t q = 0; q < nq; ++q) {
+        OfferRows(scores.data() + q * rows, emb_.bias, r0, rows,
+                  &tops[static_cast<size_t>(q)]);
+      }
+    }
+  };
+  pool.ParallelFor(num_chunks, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t chunk = begin; chunk < end; ++chunk) sweep_chunk(chunk);
+  });
 
   for (int64_t q = 0; q < nq; ++q) {
+    BoundedTopK& top = chunk_tops[0][static_cast<size_t>(q)];
+    for (int64_t chunk = 1; chunk < num_chunks; ++chunk) {
+      top.Absorb(chunk_tops[static_cast<size_t>(chunk)][static_cast<size_t>(q)]);
+    }
     std::vector<RetrievalCandidate>& out = (*outs)[static_cast<size_t>(q)];
-    tops[static_cast<size_t>(q)].Take(&out);
+    top.Take(&out);
     if (!int8_scan) continue;
     const float* query = queries.data() + q * emb_.dim;
     for (RetrievalCandidate& c : out) {

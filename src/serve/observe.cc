@@ -232,6 +232,7 @@ std::string StatsEndpoint::StatsJson() {
   out += server_.accepting() ? "true" : "false";
   out += ", \"requests\": " + std::to_string(stats.requests);
   out += ", \"rejected\": " + std::to_string(stats.rejected);
+  out += ", \"invalid_users\": " + std::to_string(stats.invalid_users);
   out += ", \"batches\": " + std::to_string(stats.batches);
   out += ", \"rows_scored\": " + std::to_string(stats.rows_scored);
   out += ", \"max_batch\": " + std::to_string(stats.max_batch);
@@ -317,6 +318,7 @@ std::string StatsEndpoint::Vars() {
          "\n";
   out += "server requests " + std::to_string(stats.requests) + "\n";
   out += "server rejected " + std::to_string(stats.rejected) + "\n";
+  out += "server invalid_users " + std::to_string(stats.invalid_users) + "\n";
   out += "server batches " + std::to_string(stats.batches) + "\n";
   out += "server rows_scored " + std::to_string(stats.rows_scored) + "\n";
   out += "server max_batch " + std::to_string(stats.max_batch) + "\n";

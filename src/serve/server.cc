@@ -24,6 +24,8 @@ const telemetry::Counter t_requests =
     telemetry::RegisterCounter("serve/daemon_requests");
 const telemetry::Counter t_rejected =
     telemetry::RegisterCounter("serve/daemon_rejected");
+const telemetry::Counter t_invalid_users =
+    telemetry::RegisterCounter("serve/daemon_invalid_users");
 const telemetry::Counter t_batches =
     telemetry::RegisterCounter("serve/daemon_batches");
 const telemetry::Counter t_rows =
@@ -160,6 +162,14 @@ bool Server::model_published() const {
 bool Server::TopN(int64_t user, std::vector<Recommendation>* out,
                   RequestTicket* ticket) {
   SCENEREC_CHECK(out != nullptr);
+  // Validated at admission: an id outside the training graph would reach
+  // the candidate builders' range CHECKs on the admission thread and take
+  // every client down with it.
+  if (user < 0 || user >= train_graph_.num_users()) {
+    t_invalid_users.Add(1);
+    invalid_users_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   // The clock is read up front but serve/request_ns is recorded only once
   // the request has been accepted AND served: a rejected submission (queue
   // closed) returns in nanoseconds and must not pollute the latency
@@ -200,6 +210,7 @@ Server::Stats Server::stats() const {
   Stats s;
   s.requests = requests_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.invalid_users = invalid_users_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.rows_scored = rows_scored_.load(std::memory_order_relaxed);
   s.max_batch = max_batch_.load(std::memory_order_relaxed);

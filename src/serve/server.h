@@ -138,9 +138,12 @@ class Server {
 
   /// Blocking Top-N for `user`: enqueues, waits for the admission loop,
   /// returns true with the recommendations in `*out`. Returns false (and
-  /// leaves `*out` untouched) only when the server has been stopped.
-  /// Callable from any number of threads concurrently. `ticket`, if given,
-  /// receives the request id and latency breakdown on success.
+  /// leaves `*out` untouched) when the server has been stopped, or when
+  /// `user` is outside [0, num_users) of the training graph — such an id
+  /// is never enqueued and counts in serve/daemon_invalid_users and
+  /// Stats::invalid_users. Callable from any number of threads
+  /// concurrently. `ticket`, if given, receives the request id and latency
+  /// breakdown on success.
   bool TopN(int64_t user, std::vector<Recommendation>* out,
             RequestTicket* ticket = nullptr);
 
@@ -149,6 +152,7 @@ class Server {
   struct Stats {
     uint64_t requests = 0;      ///< accepted and served
     uint64_t rejected = 0;      ///< refused because the server was stopped
+    uint64_t invalid_users = 0; ///< refused for an out-of-range user id
     uint64_t batches = 0;       ///< admission batches served
     uint64_t rows_scored = 0;   ///< flattened (user, item) rows scored
     uint64_t max_batch = 0;     ///< largest batch actually coalesced
@@ -237,6 +241,7 @@ class Server {
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> rejected_{0};
+  std::atomic<uint64_t> invalid_users_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> rows_scored_{0};
   std::atomic<uint64_t> max_batch_{0};

@@ -239,94 +239,56 @@ __attribute__((target("avx2"))) inline float ReduceYmm(__m256 v) {
   return _mm_cvtss_f32(_mm_add_ss(h2, _mm_shuffle_ps(h2, h2, 1)));
 }
 
-/// AVX2 twin of GemvMulti4Sse2: one ymm bank per query. vmulps/vaddps round
-/// per lane exactly like mulps/addps (and like the scalar formula), and the
-/// reduction runs the same tree, so results stay bitwise equal to Dot.
-/// Deliberately no FMA — "avx2" alone never emits contractions.
-__attribute__((target("avx2"))) void GemvMulti4Avx2(
+/// AVX2 twin of GemvMulti4Sse2 for any group of Q <= 8 queries: one ymm
+/// bank per query, so Q banks plus the row vector fit the sixteen-register
+/// AVX2 file and each row load is amortized over all Q queries. `xs` packs
+/// the queries contiguously (query q at xs + q*n), `ys` the results
+/// (ys[q*m + i]). vmulps/vaddps round per lane exactly like mulps/addps
+/// (and like the scalar formula), and the reduction runs the same tree, so
+/// results stay bitwise equal to Dot. Deliberately no FMA — "avx2" alone
+/// never emits contractions.
+template <int Q>
+__attribute__((target("avx2"))) void GemvMultiAvx2(
     const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-    const float* SCENEREC_RESTRICT x0, const float* SCENEREC_RESTRICT x1,
-    const float* SCENEREC_RESTRICT x2, const float* SCENEREC_RESTRICT x3,
-    float* SCENEREC_RESTRICT y0, float* SCENEREC_RESTRICT y1,
-    float* SCENEREC_RESTRICT y2, float* SCENEREC_RESTRICT y3) {
+    const float* SCENEREC_RESTRICT xs, float* SCENEREC_RESTRICT ys) {
+  static_assert(Q >= 1 && Q <= 8, "one ymm bank per query");
   for (int64_t i = 0; i < m; ++i) {
     const float* SCENEREC_RESTRICT a = w + i * n;
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    __m256 acc[Q];
+    for (int q = 0; q < Q; ++q) acc[q] = _mm256_setzero_ps();
     int64_t k = 0;
     for (; k + kLanes <= n; k += kLanes) {
       const __m256 r = _mm256_loadu_ps(a + k);
-      a0 = _mm256_add_ps(a0, _mm256_mul_ps(r, _mm256_loadu_ps(x0 + k)));
-      a1 = _mm256_add_ps(a1, _mm256_mul_ps(r, _mm256_loadu_ps(x1 + k)));
-      a2 = _mm256_add_ps(a2, _mm256_mul_ps(r, _mm256_loadu_ps(x2 + k)));
-      a3 = _mm256_add_ps(a3, _mm256_mul_ps(r, _mm256_loadu_ps(x3 + k)));
+      for (int q = 0; q < Q; ++q) {
+        acc[q] = _mm256_add_ps(
+            acc[q], _mm256_mul_ps(r, _mm256_loadu_ps(xs + q * n + k)));
+      }
     }
-    float t0 = ReduceYmm(a0);
-    float t1 = ReduceYmm(a1);
-    float t2 = ReduceYmm(a2);
-    float t3 = ReduceYmm(a3);
+    float t[Q];
+    for (int q = 0; q < Q; ++q) t[q] = ReduceYmm(acc[q]);
     for (; k < n; ++k) {
-      t0 += a[k] * x0[k];
-      t1 += a[k] * x1[k];
-      t2 += a[k] * x2[k];
-      t3 += a[k] * x3[k];
+      const float av = a[k];
+      for (int q = 0; q < Q; ++q) t[q] += av * xs[q * n + k];
     }
-    y0[i] = t0;
-    y1[i] = t1;
-    y2[i] = t2;
-    y3[i] = t3;
+    for (int q = 0; q < Q; ++q) ys[q * m + i] = t[q];
   }
 }
 
-/// Eight queries per pass over W: eight ymm banks plus the row vector still
-/// fit the sixteen-register AVX2 file, so each row load is amortized over
-/// twice as many queries as the 4-wide kernel. `xs` packs the queries
-/// contiguously (query q at xs + q*n), `ys` the results (ys[q*m + i]).
-/// Same per-lane ops and reduction tree as above: bitwise Dot.
-__attribute__((target("avx2"))) void GemvMulti8Avx2(
+/// Runs the nq < 8 queries left after the full groups of eight as ONE
+/// bank of that width, so no batch size falls back to per-query Dot.
+__attribute__((target("avx2"))) void GemvMultiAvx2Tail(
     const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-    const float* SCENEREC_RESTRICT xs, float* SCENEREC_RESTRICT ys) {
-  const float* SCENEREC_RESTRICT x0 = xs;
-  const float* SCENEREC_RESTRICT x1 = xs + n;
-  const float* SCENEREC_RESTRICT x2 = xs + 2 * n;
-  const float* SCENEREC_RESTRICT x3 = xs + 3 * n;
-  const float* SCENEREC_RESTRICT x4 = xs + 4 * n;
-  const float* SCENEREC_RESTRICT x5 = xs + 5 * n;
-  const float* SCENEREC_RESTRICT x6 = xs + 6 * n;
-  const float* SCENEREC_RESTRICT x7 = xs + 7 * n;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* SCENEREC_RESTRICT a = w + i * n;
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    __m256 a4 = _mm256_setzero_ps(), a5 = _mm256_setzero_ps();
-    __m256 a6 = _mm256_setzero_ps(), a7 = _mm256_setzero_ps();
-    int64_t k = 0;
-    for (; k + kLanes <= n; k += kLanes) {
-      const __m256 r = _mm256_loadu_ps(a + k);
-      a0 = _mm256_add_ps(a0, _mm256_mul_ps(r, _mm256_loadu_ps(x0 + k)));
-      a1 = _mm256_add_ps(a1, _mm256_mul_ps(r, _mm256_loadu_ps(x1 + k)));
-      a2 = _mm256_add_ps(a2, _mm256_mul_ps(r, _mm256_loadu_ps(x2 + k)));
-      a3 = _mm256_add_ps(a3, _mm256_mul_ps(r, _mm256_loadu_ps(x3 + k)));
-      a4 = _mm256_add_ps(a4, _mm256_mul_ps(r, _mm256_loadu_ps(x4 + k)));
-      a5 = _mm256_add_ps(a5, _mm256_mul_ps(r, _mm256_loadu_ps(x5 + k)));
-      a6 = _mm256_add_ps(a6, _mm256_mul_ps(r, _mm256_loadu_ps(x6 + k)));
-      a7 = _mm256_add_ps(a7, _mm256_mul_ps(r, _mm256_loadu_ps(x7 + k)));
-    }
-    float t[8] = {ReduceYmm(a0), ReduceYmm(a1), ReduceYmm(a2),
-                  ReduceYmm(a3), ReduceYmm(a4), ReduceYmm(a5),
-                  ReduceYmm(a6), ReduceYmm(a7)};
-    for (; k < n; ++k) {
-      const float av = a[k];
-      t[0] += av * x0[k];
-      t[1] += av * x1[k];
-      t[2] += av * x2[k];
-      t[3] += av * x3[k];
-      t[4] += av * x4[k];
-      t[5] += av * x5[k];
-      t[6] += av * x6[k];
-      t[7] += av * x7[k];
-    }
-    for (int64_t q = 0; q < 8; ++q) ys[q * m + i] = t[q];
+    const float* SCENEREC_RESTRICT xs, int64_t nq,
+    float* SCENEREC_RESTRICT ys) {
+  switch (nq) {
+    case 1: return GemvMultiAvx2<1>(w, m, n, xs, ys);
+    case 2: return GemvMultiAvx2<2>(w, m, n, xs, ys);
+    case 3: return GemvMultiAvx2<3>(w, m, n, xs, ys);
+    case 4: return GemvMultiAvx2<4>(w, m, n, xs, ys);
+    case 5: return GemvMultiAvx2<5>(w, m, n, xs, ys);
+    case 6: return GemvMultiAvx2<6>(w, m, n, xs, ys);
+    case 7: return GemvMultiAvx2<7>(w, m, n, xs, ys);
+    default: return;
   }
 }
 #endif  // __GNUC__ || __clang__
@@ -342,34 +304,24 @@ void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
   t_gemv_multi_calls.Add(1);
   t_flops.Add(static_cast<uint64_t>(2 * m * n * nq));
   int64_t q = 0;
-#if defined(SCENEREC_KERNELS_X86)
 #if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
-  const bool have_avx2 = __builtin_cpu_supports("avx2");
-#else
-  const bool have_avx2 = false;
-#endif
-#if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
-  if (have_avx2) {
+  if (__builtin_cpu_supports("avx2")) {
     for (; q + 8 <= nq; q += 8) {
-      GemvMulti8Avx2(w, m, n, xs + q * n, ys + q * m);
+      GemvMultiAvx2<8>(w, m, n, xs + q * n, ys + q * m);
     }
+    GemvMultiAvx2Tail(w, m, n, xs + q * n, nq - q, ys + q * m);
+    return;
   }
 #endif
+#if defined(SCENEREC_KERNELS_X86)
   for (; q + 4 <= nq; q += 4) {
     const float* x0 = xs + q * n;
-#if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
-    if (have_avx2) {
-      GemvMulti4Avx2(w, m, n, x0, x0 + n, x0 + 2 * n, x0 + 3 * n, ys + q * m,
-                     ys + (q + 1) * m, ys + (q + 2) * m, ys + (q + 3) * m);
-      continue;
-    }
-#endif
     GemvMulti4Sse2(w, m, n, x0, x0 + n, x0 + 2 * n, x0 + 3 * n, ys + q * m,
                    ys + (q + 1) * m, ys + (q + 2) * m, ys + (q + 3) * m);
   }
 #endif  // SCENEREC_KERNELS_X86
-  // Remainder queries (and every query on non-x86 targets): the standalone
-  // Gemv path — the definition the interleaved kernels are bitwise against.
+  // Remainder queries without AVX2 (and every query on non-x86 targets):
+  // the standalone Gemv path — the definition the banks are bitwise against.
   for (; q < nq; ++q) {
     const float* x = xs + q * n;
     float* y = ys + q * m;

@@ -74,13 +74,14 @@ void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
 /// query while each row is hot in cache. Per (row, query) the accumulation
 /// is the identical fixed-order Dot (8 partial lanes, fixed-shape
 /// reduction, ascending scalar tail), so the output is bitwise equal to nq
-/// standalone Gemv calls regardless of nq or tiling. x86-64 builds process
+/// standalone Gemv calls regardless of nq or tiling. x86-64 builds
+/// dispatch at runtime to an AVX2 bank that takes queries eight at a time
+/// and the remaining 1-7 as one group of that width; without AVX2 they take
 /// queries four at a time with SSE2 mul/add intrinsics (per-lane IEEE ops —
-/// the same rounding as the scalar lane formula) and dispatch at runtime to
-/// AVX2 variants that take queries eight (then four) at a time; FMA is
-/// never emitted, since contraction would change rounding and break the
-/// bitwise contract. The batched exact retrieval
-/// sweep (retrieval/exact_index.cc MultiSearch) is built on this.
+/// the same rounding as the scalar lane formula). FMA is never emitted,
+/// since contraction would change rounding and break the bitwise contract.
+/// The batched exact retrieval sweep (retrieval/exact_index.cc MultiSearch)
+/// is built on this.
 void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
                const float* SCENEREC_RESTRICT xs, int64_t nq,
                float* SCENEREC_RESTRICT ys);

@@ -4,9 +4,11 @@
 #include <map>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "eval/evaluator.h"
 #include "eval/top_n.h"
@@ -286,6 +288,49 @@ TEST(TopNTest, ExcludesTrainingItemsAndSortsByScore) {
   EXPECT_EQ(recs[1].item, 3);
   EXPECT_EQ(recs[2].item, 2);
   EXPECT_FLOAT_EQ(recs[0].score, 4.0f);
+}
+
+// UninteractedItems walks the catalog alongside each user's sorted
+// interaction list; it must keep exactly the items a per-item
+// HasInteraction filter keeps. The random world repeats interactions (they
+// collapse into one edge) and adds the edge cases: a user with no
+// interactions, users whose first or last interaction is the first or last
+// item, and a user who interacted with the whole catalog.
+TEST(TopNTest, UninteractedItemsMatchesHasInteractionFilter) {
+  constexpr int64_t kUsers = 40;
+  constexpr int64_t kItems = 97;
+  Rng rng(17);
+  std::vector<Interaction> interactions;
+  for (int64_t u = 4; u < kUsers; ++u) {
+    const int64_t degree = rng.NextInt(int64_t{1}, int64_t{30});
+    for (int64_t e = 0; e < degree; ++e) {
+      interactions.push_back({u, rng.NextInt(int64_t{0}, kItems)});
+    }
+  }
+  // User 0 has none; users 1 and 2 end on the last item (2 also starts on
+  // the first); user 3 interacted with every item.
+  interactions.push_back({1, 40});
+  interactions.push_back({1, kItems - 1});
+  interactions.push_back({2, 0});
+  interactions.push_back({2, kItems - 1});
+  interactions.push_back({2, kItems - 1});
+  for (int64_t i = 0; i < kItems; ++i) interactions.push_back({3, i});
+  const UserItemGraph train =
+      UserItemGraph::Build(kUsers, kItems, interactions);
+  ASSERT_EQ(train.UserDegree(0), 0);
+  ASSERT_EQ(train.ItemsOfUser(1).back(), kItems - 1);
+
+  std::vector<int64_t> got;
+  for (int64_t u = 0; u < kUsers; ++u) {
+    std::vector<int64_t> want;
+    for (int64_t i = 0; i < kItems; ++i) {
+      if (!train.HasInteraction(u, i)) want.push_back(i);
+    }
+    UninteractedItems(train, u, &got);
+    EXPECT_EQ(got, want) << "user " << u;
+  }
+  EXPECT_EQ(UninteractedItems(train, 0).size(), static_cast<size_t>(kItems));
+  EXPECT_TRUE(UninteractedItems(train, 3).empty());
 }
 
 TEST(TopNTest, TiesBrokenByLowerItemId) {

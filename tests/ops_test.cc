@@ -560,10 +560,11 @@ TEST(KernelEquivalenceTest, GemvMultiMatchesRef) {
   }
 }
 
-// nq = 1..9 covers every dispatch shape: the scalar remainder alone, the
-// 4-query SSE2/AVX2 group plus remainders, and the 8-query AVX2 group
-// plus a trailing query. Bitwise — GemvMulti's contract is that batching
-// queries cannot change a single bit of any result.
+// nq = 1..9 covers every dispatch shape: on AVX2 every bank width 1..8
+// alone and a full group of eight plus one; without AVX2 the scalar
+// remainder alone and the 4-query SSE2 group plus remainders. Bitwise —
+// GemvMulti's contract is that batching queries cannot change a single bit
+// of any result.
 TEST(KernelEquivalenceTest, GemvMultiBitwiseEqualsGemv) {
   Rng rng(51);
   for (int64_t nq = 1; nq <= 9; ++nq) {

@@ -614,7 +614,14 @@ void ExpectSameCandidates(const std::vector<RetrievalCandidate>& got,
 // the exact backends through their shared-sweep override (GemvMulti tiles
 // plus bounded selection), IVF through the base-class per-query loop.
 // BPR-MF exports an item bias, so the biased offer path is covered too;
-// mixed ks cover the bounded heap at k=1, mid-size and k > catalog.
+// mixed ks cover the bounded top-k at k=1, mid-size and k > catalog.
+//
+// A second, generated catalog is large enough for the exact sweep to split
+// its tiles across the sweep pool's lanes. Its best rows are copies placed
+// on both sides of every 1,024-row tile boundary (and so of every chunk
+// boundary), so equal scores meet across chunks; the ks cut through both
+// tie groups, and every batch of one to five queries must still pick the
+// tied copies lowest id first, exactly as the serial Search does.
 TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
@@ -649,6 +656,70 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
       EXPECT_EQ(stats[q].lists_probed, want_stats.lists_probed);
       EXPECT_EQ(stats[q].items_scanned, want_stats.items_scanned);
       EXPECT_EQ(stats[q].rescored, want_stats.rescored);
+    }
+  }
+
+  constexpr int64_t kTile = 1024;
+  constexpr int64_t kTiles = 20;
+  constexpr int64_t kDim = 8;
+  const int64_t num_items = kTiles * kTile + 300;
+  Rng rng(7);
+  std::vector<float> items(static_cast<size_t>(num_items * kDim));
+  for (float& v : items) v = rng.NextFloat(-1.0f, 1.0f);
+  // Queries are positive, so an all-4 row outscores every random row and
+  // an all-3 row every row but those; each tie group has 2 * (kTiles - 1)
+  // copies, one on each side of a tile boundary.
+  std::vector<int64_t> best_copies;
+  const auto place = [&](int64_t item, float value) {
+    std::fill_n(items.begin() + item * kDim, kDim, value);
+  };
+  for (int64_t t = 1; t < kTiles; ++t) {
+    best_copies.push_back(t * kTile - 1);
+    best_copies.push_back(t * kTile);
+    place(t * kTile - 1, 4.0f);
+    place(t * kTile, 4.0f);
+    place(t * kTile - 2, 3.0f);
+    place(t * kTile + 1, 3.0f);
+  }
+  RetrievalEmbeddings emb;
+  emb.num_items = num_items;
+  emb.dim = kDim;
+  emb.fidelity = RetrievalFidelity::kExactScores;
+  emb.items = items.data();
+  const int64_t group = static_cast<int64_t>(best_copies.size());
+  const std::vector<int64_t> big_ks = {
+      1, 3, group - 1, group, group + 5, 2 * group + 1, 700};
+  for (IndexKind kind : {IndexKind::kExact, IndexKind::kExactSq8}) {
+    SCOPED_TRACE(std::string("generated catalog, ") + IndexKindName(kind));
+    IndexBuildConfig config;
+    config.kind = kind;
+    auto built = IndexBuilder(config).BuildFromEmbeddings(emb);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const std::unique_ptr<ItemIndex> index = std::move(built).value();
+    for (int64_t nq = 1; nq <= 5; ++nq) {
+      SCOPED_TRACE("nq=" + std::to_string(nq));
+      std::vector<float> queries(static_cast<size_t>(nq * kDim));
+      for (float& v : queries) v = rng.NextFloat(0.1f, 1.0f);
+      std::vector<int64_t> ks(static_cast<size_t>(nq));
+      for (int64_t q = 0; q < nq; ++q) {
+        ks[static_cast<size_t>(q)] =
+            big_ks[static_cast<size_t>((q + nq) % big_ks.size())];
+      }
+      std::vector<std::vector<RetrievalCandidate>> outs;
+      index->MultiSearch(queries, ks, &outs);
+      ASSERT_EQ(outs.size(), static_cast<size_t>(nq));
+      std::vector<RetrievalCandidate> want;
+      for (int64_t q = 0; q < nq; ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        index->Search(std::span<const float>(queries.data() + q * kDim,
+                                             static_cast<size_t>(kDim)),
+                      ks[static_cast<size_t>(q)], &want);
+        ExpectSameCandidates(outs[static_cast<size_t>(q)], want);
+        const size_t tied = std::min(want.size(), best_copies.size());
+        for (size_t r = 0; r < tied; ++r) {
+          ASSERT_EQ(want[r].item, best_copies[r]) << "rank " << r;
+        }
+      }
     }
   }
 }

@@ -460,6 +460,52 @@ TEST_F(ServeTest, StopDrainsAcceptedRequestsThenRejects) {
   EXPECT_EQ(server.stats().rejected, 1u);
 }
 
+// An out-of-range user is refused at admission, in both modes: TopN
+// returns false with *out untouched, the id never reaches the candidate
+// builders' range checks on the admission thread (which would abort the
+// daemon), the refusal is counted, and the daemon keeps serving — the next
+// valid request is bitwise the library answer.
+TEST_F(ServeTest, OutOfRangeUserIsRefusedAndTheDaemonKeepsServing) {
+  telemetry::Telemetry::Reset();
+  telemetry::Telemetry::SetEnabled(true);
+  std::shared_ptr<Recommender> model = MakeModel("BPR-MF", 43);
+  ASSERT_NE(model, nullptr);
+  auto index_or = IndexBuilder().Build(*model);
+  ASSERT_TRUE(index_or.ok());
+  std::shared_ptr<const ItemIndex> index = std::move(index_or).value();
+  const auto full_catalog = FullCatalogExpected(*model);
+  const auto retrieval = RetrievalExpected(*model, *index);
+  uint64_t refused = 0;
+  for (const int64_t num_candidates : {int64_t{0}, kCandidates}) {
+    SCOPED_TRACE("num_candidates=" + std::to_string(num_candidates));
+    const auto& expected = num_candidates == 0 ? full_catalog : retrieval;
+    serve::Server server(Config(/*max_batch=*/4, num_candidates), graph_);
+    server.Publish(model, index);
+    server.Start();
+    for (const int64_t bad : {int64_t{-1}, dataset_.num_users}) {
+      std::vector<Recommendation> got = {{123, 4.5f}};
+      EXPECT_FALSE(server.TopN(bad, &got)) << "user " << bad;
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0].item, 123);
+      EXPECT_EQ(got[0].score, 4.5f);
+      refused += 1;
+      const int64_t user = dataset_.num_users - 1;
+      ASSERT_TRUE(server.TopN(user, &got));
+      ExpectSameList(got, expected[static_cast<size_t>(user)]);
+    }
+    server.Stop();
+    const serve::Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.invalid_users, 2u);
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.rejected, 0u);
+  }
+  EXPECT_EQ(telemetry::Telemetry::Snapshot().CounterValue(
+                "serve/daemon_invalid_users"),
+            refused);
+  telemetry::Telemetry::SetEnabled(false);
+  telemetry::Telemetry::Reset();
+}
+
 TEST_F(ServeTest, ServesEmptyListsBeforeFirstPublishAndForTopNZero) {
   // No model published: the daemon answers (empty), it does not crash or
   // hang.

@@ -22,8 +22,10 @@
 # the closed-loop serving-daemon load test (docs/serving.md): per-request
 # serving vs batched admission at identical results, with request-latency
 # p50/p99 reported as counters on the daemon rows — BatchedRetrieval QPS
-# over PerRequestRetrieval QPS is the batching gain, host-dependent
-# (1.5-2.5x on a shared 4-vCPU VM, >2x on a 1-CPU host; docs/serving.md).
+# over PerRequestRetrieval QPS is the batching gain, host-dependent (1.8x
+# in the committed 4-vCPU recording, where both rows sweep the catalog on
+# three lanes; >2x on the 1-CPU host of the first recording;
+# docs/serving.md).
 # BENCH_cache.json is
 # the demand-paged user-representation cache suite (the BM_Cache rows of
 # bench_serve, docs/serving.md#warmup) on a users>>items world: full vs

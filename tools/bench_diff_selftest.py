@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Selftest for tools/bench_diff: fabricates google-benchmark JSON pairs and
 asserts the gate's behavior — pass on stable numbers, nonzero exit on a
-synthetic regression under --check, report-only without --check, and mean
-aggregates taking precedence over repetition rows.
+synthetic regression or on differing num_cpus under --check, report-only
+without --check, and mean aggregates taking precedence over repetition
+rows.
 
 Invoked by ctest as:
     bench_diff_selftest.py <python3> <path/to/bench_diff>
@@ -15,9 +16,10 @@ import sys
 import tempfile
 
 
-def write_bench_json(path, times, aggregates=None):
+def write_bench_json(path, times, aggregates=None, num_cpus=1):
     """times: {run_name: real_time_ns} plain rows; aggregates adds
-    {run_name: mean_ns} rows tagged aggregate_name="mean"."""
+    {run_name: mean_ns} rows tagged aggregate_name="mean"; num_cpus goes
+    into the context."""
     benchmarks = []
     for name, t in times.items():
         benchmarks.append({
@@ -37,7 +39,8 @@ def write_bench_json(path, times, aggregates=None):
             "time_unit": "ns",
         })
     with open(path, "w") as f:
-        json.dump({"context": {"num_cpus": 1}, "benchmarks": benchmarks}, f)
+        json.dump({"context": {"num_cpus": num_cpus},
+                   "benchmarks": benchmarks}, f)
 
 
 def run(bench_diff_cmd, *args):
@@ -71,6 +74,21 @@ def main():
 
         code, out = run(bench_diff_cmd, "--check", baseline, stable)
         check("stable run passes --check", code == 0, out)
+        check("both core counts are printed",
+              "num_cpus: baseline 1, fresh 1" in out, out)
+
+        # Identical timings from another core count: the gate refuses the
+        # comparison and names both counts; report-only mode still prints.
+        other_host = os.path.join(tmp, "other_host.json")
+        write_bench_json(other_host, {"BM_Fast": 100.0, "BM_Slow": 1000.0},
+                         num_cpus=4)
+        code, out = run(bench_diff_cmd, "--check", baseline, other_host)
+        check("differing num_cpus fails --check", code != 0, out)
+        check("the failure names both core counts",
+              "num_cpus differs: baseline 1, fresh 4" in out, out)
+        code, out = run(bench_diff_cmd, baseline, other_host)
+        check("differing num_cpus is report-only without --check",
+              code == 0 and "num_cpus differs" in out, out)
 
         code, out = run(bench_diff_cmd, "--check", baseline, regressed)
         check("regressed run fails --check", code != 0, out)
