@@ -176,7 +176,7 @@ void BM_EvaluateFullRanking(benchmark::State& state) {
   }
   for (auto _ : state) {
     RankingMetrics metrics = EvaluateFullRanking(
-        model.Scorer(), data.graph, data.split.test, 10, pool_ptr);
+        model.BlockScorer(), data.graph, data.split.test, 10, pool_ptr);
     benchmark::DoNotOptimize(metrics.ndcg);
   }
   state.counters["threads"] = static_cast<double>(threads);

@@ -12,7 +12,8 @@
 //   BM_ServePerRequest*        daemon, max_batch=1: every request pays its
 //                              own wakeup round-trip and its own MLP call
 //   BM_ServeBatched*           daemon, coalescing on: concurrent requests
-//                              share admission wakeups and ScoreRows calls
+//                              share admission wakeups and, in retrieval
+//                              mode, one index sweep per batch
 //
 // Every row reports items_per_second (= QPS: one item == one request) and
 // p50_us / p99_us request latency scraped from the daemon's
@@ -482,7 +483,6 @@ void BM_CacheSteadyStateLazyZipf(benchmark::State& state) {
   // One unmeasured warm pass so the hot set is resident before timing —
   // steady state is the claim, not the cold start (the swap rows own that).
   DriveZipf(*d.lazy, d.zipf_seq);
-  telemetry::Telemetry::Reset();
   for (auto _ : state) DriveZipf(*d.lazy, d.zipf_seq);
   state.SetItemsProcessed(state.iterations() * kCacheRequests);
 
@@ -494,21 +494,6 @@ void BM_CacheSteadyStateLazyZipf(benchmark::State& state) {
                          static_cast<double>(lookups);
   state.counters["resident_mb"] =
       static_cast<double>(cache.bytes) / (1024.0 * 1024.0);
-  // Scratch reuse (the per-batch allocation-recycling satellite): fraction
-  // of batches served entirely from retained buffers.
-  const telemetry::TelemetrySnapshot snapshot =
-      telemetry::Telemetry::Snapshot();
-  double reuses = 0.0;
-  for (const auto& c : snapshot.counters) {
-    if (c.name == "serve/scratch_reuse_batches") {
-      reuses = static_cast<double>(c.value);
-    }
-  }
-  const serve::Server::Stats stats = d.lazy->stats();
-  state.counters["scratch_reuse_pct"] =
-      stats.batches == 0 ? 0.0
-                         : 100.0 * reuses /
-                               static_cast<double>(stats.batches);
 }
 BENCHMARK(BM_CacheSteadyStateLazyZipf)
     ->Unit(benchmark::kMillisecond)

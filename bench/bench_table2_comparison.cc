@@ -21,6 +21,7 @@
 #include <iostream>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -51,9 +52,13 @@ struct HeadParity {
 HeadParity MeasureHeadParity(Recommender& model,
                              const PreparedDataset& prepared) {
   model.OnEvalBegin();
-  const ScoreFn concat = [&model](int64_t user, int64_t item) {
+  const BlockScoreFn concat = [&model](int64_t user,
+                                       std::span<const int64_t> items,
+                                       std::span<float> out) {
     NoGradGuard no_grad;
-    return model.ScoreForTraining(user, item).scalar();
+    for (size_t r = 0; r < items.size(); ++r) {
+      out[r] = model.ScoreForTraining(user, items[r]).scalar();
+    }
   };
   const std::vector<EvalInstance>& test = prepared.split.test;
   HeadParity parity;

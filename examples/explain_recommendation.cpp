@@ -55,6 +55,12 @@ int Run(int argc, char** argv) {
   }
   bench::PreparedDataset prepared = std::move(prepared_or).value();
   const SceneGraph& scene = prepared.scene_graph;
+  const int64_t user = flags.GetInt64("user");
+  if (user < 0 || user >= prepared.dataset.num_users) {
+    std::cerr << "--user=" << user << " is outside [0, "
+              << prepared.dataset.num_users << ")\n";
+    return 1;
+  }
 
   SceneRecConfig model_config;
   model_config.embedding_dim = flags.GetInt64("dim");
@@ -73,8 +79,6 @@ int Run(int argc, char** argv) {
   std::printf("Trained SceneRec on %s (test NDCG@10 %.3f)\n\n",
               prepared.dataset.name.c_str(), result->test.ndcg);
 
-  const int64_t user =
-      flags.GetInt64("user") % prepared.dataset.num_users;
   auto history = prepared.train_graph.ItemsOfUser(user);
   std::printf("User u%lld interacted with %zu items.\n",
               static_cast<long long>(user), history.size());
@@ -97,7 +101,8 @@ int Run(int argc, char** argv) {
 
   model.OnEvalBegin();
   auto recommendations = TopNRecommendations(
-      model.Scorer(), prepared.train_graph, user, flags.GetInt64("top_n"));
+      model.BlockScorer(), prepared.train_graph, user,
+      flags.GetInt64("top_n"));
   std::printf("Top-%zu recommendations with scene explanations:\n\n",
               recommendations.size());
   for (const Recommendation& rec : recommendations) {

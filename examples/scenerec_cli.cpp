@@ -157,14 +157,15 @@ int Evaluate(const FlagParser& flags, CliContext& context) {
     pool = nullptr;
   }
   RankingMetrics sampled =
-      EvaluateRanking(context.model->Scorer(), context.split.test, 10, pool);
+      EvaluateRanking(context.model->BlockScorer(), context.split.test, 10,
+                      pool);
   std::printf("sampled-negatives protocol: NDCG@10 %.4f HR@10 %.4f MRR %.4f "
               "(%lld users)\n",
               sampled.ndcg, sampled.hr, sampled.mrr,
               static_cast<long long>(sampled.num_instances));
   if (flags.GetBool("full_ranking")) {
     RankingMetrics full =
-        EvaluateFullRanking(context.model->Scorer(), context.train_graph,
+        EvaluateFullRanking(context.model->BlockScorer(), context.train_graph,
                             context.split.test, 10, pool);
     std::printf("full-vocabulary protocol:   NDCG@10 %.4f HR@10 %.4f MRR %.4f\n",
                 full.ndcg, full.hr, full.mrr);
@@ -199,8 +200,12 @@ int Evaluate(const FlagParser& flags, CliContext& context) {
 }
 
 int Recommend(const FlagParser& flags, CliContext& context) {
-  const int64_t user =
-      flags.GetInt64("user") % context.dataset.num_users;
+  const int64_t user = flags.GetInt64("user");
+  if (user < 0 || user >= context.dataset.num_users) {
+    std::cerr << "--user=" << user << " is outside [0, "
+              << context.dataset.num_users << ")\n";
+    return 1;
+  }
   context.model->OnEvalBegin();
   std::vector<Recommendation> recommendations;
   if (!flags.GetString("retrieval").empty()) {
@@ -223,7 +228,7 @@ int Recommend(const FlagParser& flags, CliContext& context) {
                 static_cast<long long>(stats.rescored));
   } else {
     recommendations =
-        TopNRecommendations(context.model->Scorer(), context.train_graph,
+        TopNRecommendations(context.model->BlockScorer(), context.train_graph,
                             user, flags.GetInt64("top_n"));
   }
   std::printf("top-%zu recommendations for user %lld (%s):\n",

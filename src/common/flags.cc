@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/check.h"
@@ -120,9 +122,14 @@ Status FlagParser::Parse(int argc, char** argv) {
     } else {
       name = body;
     }
+    if (name == "help") {
+      // Every binary's usage answer, in one place: stdout, exit 0.
+      std::fputs(Help().c_str(), stdout);
+      std::exit(0);
+    }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      return Status::InvalidArgument("unknown flag --" + name + "\n" + Help());
+      return Status::InvalidArgument("unknown flag --" + name);
     }
     Flag& flag = it->second;
     if (has_value && value.empty() && flag.type == Type::kImplicitString) {

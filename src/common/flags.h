@@ -12,7 +12,8 @@ namespace scenerec {
 
 /// Minimal command-line flag parser used by the example and benchmark
 /// binaries. Accepts `--name=value` and `--name value`; bool flags may omit
-/// the value (`--verbose`). Unknown flags are an error so typos surface.
+/// the value (`--verbose`). Unknown flags are an error so typos surface;
+/// `--help` is answered by the parser itself.
 ///
 ///   FlagParser flags;
 ///   flags.AddInt64("seed", 42, "RNG seed");
@@ -42,8 +43,10 @@ class FlagParser {
                          const std::string& implicit_value,
                          const std::string& help);
 
-  /// Parses argv; returns InvalidArgument on unknown flags or bad values.
-  /// Non-flag positional arguments are collected into positional().
+  /// Parses argv; returns InvalidArgument naming the flag on an unknown
+  /// flag or a bad value (callers print Help() once after it). `--help`
+  /// prints Help() to stdout and exits 0. Non-flag positional arguments are
+  /// collected into positional().
   Status Parse(int argc, char** argv);
 
   /// Typed accessors. The flag must have been registered with the matching

@@ -1,13 +1,14 @@
 #include "eval/evaluator.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "eval/top_n.h"
 
 namespace scenerec {
 
@@ -85,16 +86,6 @@ bool ScoreBlockChecked(const BlockScoreFn& score, int64_t user,
 
 }  // namespace
 
-BlockScoreFn BlockScorerFromPairs(ScoreFn score) {
-  SCENEREC_CHECK(score != nullptr);
-  return [score = std::move(score)](int64_t user,
-                                    std::span<const int64_t> items,
-                                    std::span<float> out) {
-    SCENEREC_CHECK_EQ(items.size(), out.size());
-    for (size_t r = 0; r < items.size(); ++r) out[r] = score(user, items[r]);
-  };
-}
-
 RankingMetrics EvaluateRanking(const BlockScoreFn& score,
                                const std::vector<EvalInstance>& instances,
                                int64_t k, ThreadPool* pool) {
@@ -152,12 +143,6 @@ RankingMetrics EvaluateRanking(const BlockScoreFn& score,
   return ReduceInOrder(per);
 }
 
-RankingMetrics EvaluateRanking(const ScoreFn& score,
-                               const std::vector<EvalInstance>& instances,
-                               int64_t k, ThreadPool* pool) {
-  return EvaluateRanking(BlockScorerFromPairs(score), instances, k, pool);
-}
-
 RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
                                    const UserItemGraph& train_graph,
                                    const std::vector<EvalInstance>& instances,
@@ -172,7 +157,6 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
   SCENEREC_TRACE_SPAN_F("eval/full_ranking", "eval", trace::Floor::kNone,
                         "instances=%zu k=%lld", instances.size(),
                         static_cast<long long>(k));
-  const int64_t num_items = train_graph.num_items();
   std::vector<std::array<double, 3>> per(instances.size());
   // Each instance scores the whole catalog — plenty of work per index.
   ForEachInstance(
@@ -183,15 +167,17 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
         for (int64_t idx = begin; idx < end; ++idx) {
           const EvalInstance& instance = instances[static_cast<size_t>(idx)];
           // Masking as a candidate-list build step: the positive leads,
-          // followed by every item the user has NOT interacted with during
-          // training (standard masking; the sampled negatives are ignored).
-          candidates.clear();
-          candidates.reserve(static_cast<size_t>(num_items));
-          candidates.push_back(instance.positive_item);
-          for (int64_t item = 0; item < num_items; ++item) {
-            if (item == instance.positive_item) continue;
-            if (train_graph.HasInteraction(instance.user, item)) continue;
-            candidates.push_back(item);
+          // followed by every other item the user has NOT interacted with
+          // during training, in id order (standard masking; the sampled
+          // negatives are ignored). Rotating the positive out of the sorted
+          // unseen list to the front keeps the rest in order.
+          UninteractedItems(train_graph, instance.user, &candidates);
+          const auto at = std::lower_bound(
+              candidates.begin(), candidates.end(), instance.positive_item);
+          if (at != candidates.end() && *at == instance.positive_item) {
+            std::rotate(candidates.begin(), at, at + 1);
+          } else {
+            candidates.insert(candidates.begin(), instance.positive_item);
           }
           scores.resize(candidates.size());
           // Chunked block scoring; above/tied counting is order-independent
@@ -231,14 +217,6 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
         }
       });
   return ReduceInOrder(per);
-}
-
-RankingMetrics EvaluateFullRanking(const ScoreFn& score,
-                                   const UserItemGraph& train_graph,
-                                   const std::vector<EvalInstance>& instances,
-                                   int64_t k, ThreadPool* pool) {
-  return EvaluateFullRanking(BlockScorerFromPairs(score), train_graph,
-                             instances, k, pool);
 }
 
 }  // namespace scenerec

@@ -24,42 +24,6 @@ const telemetry::Counter t_candidates =
 const telemetry::Counter t_nonfinite =
     telemetry::RegisterCounter("serve/nonfinite_scores");
 
-/// Scores `candidates` in bounded chunks and selects the top n. Candidates
-/// must already be unique: both public callers guarantee that (the
-/// full-catalog overload by construction, the span overload by deduping).
-std::vector<Recommendation> ScoreAndSelect(const BlockScoreFn& score,
-                                           int64_t user,
-                                           std::span<const int64_t> candidates,
-                                           int64_t n) {
-  t_requests.Add(1);
-  t_candidates.Add(static_cast<uint64_t>(candidates.size()));
-  if (candidates.empty() || n <= 0) return {};
-
-  // Per-worker scratch: parallel evaluation calls this from many pool
-  // threads, and the score buffer is catalog-sized — retaining it per
-  // thread removes the one large allocation of every Top-N request.
-  thread_local std::vector<float> scores_scratch;
-  std::vector<float>& scores = scores_scratch;
-  scores.resize(candidates.size());
-  for (size_t offset = 0; offset < candidates.size();
-       offset += static_cast<size_t>(kScoreBlockSize)) {
-    const size_t len = std::min(static_cast<size_t>(kScoreBlockSize),
-                                candidates.size() - offset);
-    SCENEREC_TRACE_SPAN_F("serve/score_block", "serve", trace::Floor::kOp,
-                          "user=%lld candidates=%zu",
-                          static_cast<long long>(user), len);
-    score(user, candidates.subspan(offset, len),
-          std::span<float>(scores).subspan(offset, len));
-  }
-
-  std::vector<Recommendation> scored;
-  scored.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    scored.push_back({candidates[i], scores[i]});
-  }
-  return SelectTopN(std::move(scored), n);
-}
-
 }  // namespace
 
 bool BetterRecommendation(const Recommendation& a, const Recommendation& b) {
@@ -140,6 +104,38 @@ std::vector<int64_t> UninteractedItems(const UserItemGraph& train_graph,
   return ids;
 }
 
+void ScoreAndSelectTopN(const BlockScoreFn& score, int64_t user,
+                        std::span<const int64_t> candidates, int64_t n,
+                        std::vector<Recommendation>* out) {
+  SCENEREC_CHECK(out != nullptr);
+  t_requests.Add(1);
+  t_candidates.Add(static_cast<uint64_t>(candidates.size()));
+  out->clear();
+  if (candidates.empty() || n <= 0) return;
+
+  // Per-thread scratch: parallel evaluation and the daemon call this from
+  // several threads, and both buffers are catalog-sized.
+  thread_local std::vector<float> scores;
+  thread_local std::vector<Recommendation> scored;
+  scores.resize(candidates.size());
+  for (size_t offset = 0; offset < candidates.size();
+       offset += static_cast<size_t>(kScoreBlockSize)) {
+    const size_t len = std::min(static_cast<size_t>(kScoreBlockSize),
+                                candidates.size() - offset);
+    SCENEREC_TRACE_SPAN_F("serve/score_block", "serve", trace::Floor::kOp,
+                          "user=%lld candidates=%zu",
+                          static_cast<long long>(user), len);
+    score(user, candidates.subspan(offset, len),
+          std::span<float>(scores).subspan(offset, len));
+  }
+  scored.clear();
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    scored.push_back({candidates[i], scores[i]});
+  }
+  SelectTopNInPlace(&scored, n);
+  out->assign(scored.begin(), scored.end());
+}
+
 std::vector<Recommendation> TopNRecommendations(
     const BlockScoreFn& score, int64_t user,
     std::span<const int64_t> candidates_in, int64_t n) {
@@ -155,14 +151,19 @@ std::vector<Recommendation> TopNRecommendations(
       break;
     }
   }
-  if (unique) return ScoreAndSelect(score, user, candidates_in, n);
   std::vector<int64_t> deduped;
-  deduped.reserve(seen.size());
-  seen.clear();
-  for (const int64_t id : candidates_in) {
-    if (seen.insert(id).second) deduped.push_back(id);
+  if (!unique) {
+    deduped.reserve(seen.size());
+    seen.clear();
+    for (const int64_t id : candidates_in) {
+      if (seen.insert(id).second) deduped.push_back(id);
+    }
   }
-  return ScoreAndSelect(score, user, deduped, n);
+  std::vector<Recommendation> out;
+  ScoreAndSelectTopN(
+      score, user, unique ? candidates_in : std::span<const int64_t>(deduped),
+      n, &out);
+  return out;
 }
 
 std::vector<Recommendation> TopNRecommendations(
@@ -172,14 +173,10 @@ std::vector<Recommendation> TopNRecommendations(
                         "user=%lld n=%lld", static_cast<long long>(user),
                         static_cast<long long>(n));
   // Candidate ids are unique by construction — no dedupe pass needed.
-  return ScoreAndSelect(score, user, UninteractedItems(train_graph, user), n);
-}
-
-std::vector<Recommendation> TopNRecommendations(
-    const ScoreFn& score, const UserItemGraph& train_graph, int64_t user,
-    int64_t n) {
-  return TopNRecommendations(BlockScorerFromPairs(score), train_graph, user,
-                             n);
+  std::vector<Recommendation> out;
+  ScoreAndSelectTopN(score, user, UninteractedItems(train_graph, user), n,
+                     &out);
+  return out;
 }
 
 }  // namespace scenerec

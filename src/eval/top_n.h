@@ -22,10 +22,9 @@ struct Recommendation {
 /// correct selection algorithm yields the identical top-n list.
 bool BetterRecommendation(const Recommendation& a, const Recommendation& b);
 
-/// The shared partial-selection routine behind every Top-N surface
-/// (TopNRecommendations, TwoStageTopN, the serving daemon's batch path):
-/// keeps the `n` best entries of `scored` under BetterRecommendation, sorted,
-/// and counts non-finite scores in serve/nonfinite_scores.
+/// The partial-selection routine behind ScoreAndSelectTopN: keeps the `n`
+/// best entries of `scored` under BetterRecommendation, sorted, and counts
+/// non-finite scores in serve/nonfinite_scores.
 /// O(candidates + n log n) via nth_element — exactly the first n entries a
 /// full sort would produce. n <= 0 returns empty; n beyond the candidate
 /// count returns everything, sorted.
@@ -33,8 +32,8 @@ std::vector<Recommendation> SelectTopN(std::vector<Recommendation> scored,
                                        int64_t n);
 
 /// SelectTopN on the caller's buffer: identical contents and order, but
-/// `*scored` shrinks in place to the winners, keeping its capacity — the
-/// serving daemon's per-batch scratch path (no per-request allocation).
+/// `*scored` shrinks in place to the winners, keeping its capacity (no
+/// per-request allocation).
 void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n);
 
 /// The full-catalog candidate-list build step: every item `user` has NOT
@@ -48,33 +47,34 @@ std::vector<int64_t> UninteractedItems(const UserItemGraph& train_graph,
 void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
                        std::vector<int64_t>* out);
 
-/// The serving-path helper: scores every item the user has NOT interacted
-/// with in `train_graph` and returns the `n` highest, ordered by descending
-/// score (ties by lower item id). Returns fewer than `n` entries when the
-/// user has interacted with almost the whole catalog, and an empty list for
-/// n <= 0 or a fully interacted catalog (the daemon hits both).
+/// The one place a Top-N list is scored and selected: every Top-N surface
+/// (both TopNRecommendations overloads, TwoStageTopN and the serving
+/// daemon) ends here. Scores `candidates` for `user` in kScoreBlockSize
+/// blocks and writes the `n` best into `*out` by partial selection —
+/// O(candidates + n log n) — ordered by BetterRecommendation, which is the
+/// list a full sort would give. `*out` is empty for n <= 0 or no
+/// candidates, and shorter than n when there are fewer candidates.
 ///
-/// The candidate list is scored in kScoreBlockSize blocks (the fast path for
-/// models with ScoreBlock support) and the winners are picked by partial
-/// selection — O(catalog + n log n), not O(catalog log catalog) — with the
-/// same strict total order as a full sort, so the returned list is
-/// identical. See docs/serving.md.
+/// Candidates must be unique. The score buffer and the selection staging
+/// area are per-thread scratch, so a steady-state call allocates only the
+/// winners in `*out`. Counts serve/topn_requests and serve/topn_candidates.
+void ScoreAndSelectTopN(const BlockScoreFn& score, int64_t user,
+                        std::span<const int64_t> candidates, int64_t n,
+                        std::vector<Recommendation>* out);
+
+/// Full-catalog Top-N: the `n` highest-scored items the user has NOT
+/// interacted with in `train_graph` (UninteractedItems, then
+/// ScoreAndSelectTopN). Fewer than `n` entries when the user has interacted
+/// with almost the whole catalog; empty for n <= 0 or a fully interacted
+/// catalog. See docs/serving.md.
 std::vector<Recommendation> TopNRecommendations(const BlockScoreFn& score,
                                                 const UserItemGraph& train_graph,
                                                 int64_t user, int64_t n);
 
-/// Per-pair adapter of the above; identical results.
-std::vector<Recommendation> TopNRecommendations(const ScoreFn& score,
-                                                const UserItemGraph& train_graph,
-                                                int64_t user, int64_t n);
-
-/// The candidate-span entry point behind the two-stage retrieval path
-/// (retrieval/two_stage.h): scores a PRE-BUILT candidate list for `user`
-/// (chunked kScoreBlockSize blocks) and returns its top `n` under the same
-/// score-desc/lower-id total order. Candidates are taken as given — no
-/// interaction masking happens here — but duplicates ARE removed (first
-/// occurrence wins) before scoring, so a repeated id can neither be scored
-/// twice nor occupy two ranks of the result.
+/// Top-N over a PRE-BUILT candidate list for `user`. Candidates are taken
+/// as given — no interaction masking happens here — but duplicates ARE
+/// removed (first occurrence wins) before ScoreAndSelectTopN, so a
+/// repeated id can neither be scored twice nor occupy two ranks.
 std::vector<Recommendation> TopNRecommendations(
     const BlockScoreFn& score, int64_t user,
     std::span<const int64_t> candidates, int64_t n);

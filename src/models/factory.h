@@ -45,7 +45,7 @@ StatusOr<std::unique_ptr<Recommender>> MakeRecommender(
 /// usual (bitwise identical to the model the snapshot was written from),
 /// but requesting gradients on its parameters aborts. The snapshot mapping
 /// lives exactly as long as the model and is unmapped on destruction — the
-/// property ModelHandle's drain-based hot swap relies on.
+/// property the serving daemon's drain-based hot swap relies on.
 StatusOr<std::unique_ptr<Recommender>> OpenRecommenderFromSnapshot(
     const std::string& path, const ModelContext& context,
     const ModelFactoryConfig& config);

@@ -165,17 +165,15 @@ class Recommender : public Module {
   virtual void ScoreBlock(int64_t user, std::span<const int64_t> items,
                           std::span<float> out);
 
-  // -- Cross-request row scoring (the serving daemon's batch shape) ------
+  // -- Cross-user row scoring --------------------------------------------
   //
-  // The admission loop of scenerec_serve (src/serve/server.h) coalesces
-  // concurrent users' candidate blocks into ONE flattened row list, so that
-  // requests arriving together share one scoring call. ScoreRows is that
-  // entry point: row r scores the pair (users[r], items[r]). The contract
-  // extends ScoreBlock's: out[r] must be bitwise equal to
-  // Score(users[r], items[r]) for every r, independent of which rows happen
-  // to share a call — so the daemon's batched results are bitwise identical
-  // to per-request serving, and rows may be re-chunked freely
-  // (docs/serving.md).
+  // ScoreRows scores a flattened row list that may mix users: row r scores
+  // the pair (users[r], items[r]). The contract extends ScoreBlock's:
+  // out[r] must be bitwise equal to Score(users[r], items[r]) for every r,
+  // independent of which rows happen to share a call, so rows may be
+  // re-chunked freely. No library path calls it (every Top-N list ends in
+  // ScoreAndSelectTopN's per-user ScoreBlock runs); it stays for callers
+  // that time a whole batch's rows as one stage (docs/serving.md).
 
   /// True if the model scores a cross-user row list natively rather than
   /// through the per-run ScoreBlock fallback. Informational, like
@@ -262,15 +260,9 @@ class Recommender : public Module {
   /// its attention coefficients once per epoch). Default no-op.
   virtual void OnEpochBegin() {}
 
-  /// Adapter for the evaluation harness's per-pair interface.
-  ScoreFn Scorer() {
-    return [this](int64_t user, int64_t item) { return Score(user, item); };
-  }
-
-  /// Adapter for the evaluation harness's block interface: one virtual
-  /// dispatch per candidate block instead of one std::function call per
-  /// pair. The preferred scorer for EvaluateRanking / EvaluateFullRanking /
-  /// TopNRecommendations.
+  /// This model as the BlockScoreFn that EvaluateRanking,
+  /// EvaluateFullRanking and ScoreAndSelectTopN take: one virtual dispatch
+  /// per candidate block.
   BlockScoreFn BlockScorer() {
     return [this](int64_t user, std::span<const int64_t> items,
                   std::span<float> out) { ScoreBlock(user, items, out); };

@@ -56,8 +56,9 @@ Status WriteSnapshot(const Module& module, const std::string& tag,
 /// pages fault in lazily as they are scored against. Tensors handed out by
 /// View() — and everything bound via BindSnapshot() — pin the mapping
 /// through shared_ptr owners, so the file is unmapped exactly when the last
-/// view is dropped: the invariant the hot-swap path (models/model_handle.h)
-/// relies on to retire old model versions with readers still in flight.
+/// view is dropped: the invariant the serving daemon's hot swap
+/// (serve/server.h) relies on to retire old model versions with readers
+/// still in flight.
 class Snapshot : public std::enable_shared_from_this<Snapshot> {
  public:
   /// Maps and validates `path`. Errors name the file and, for per-tensor

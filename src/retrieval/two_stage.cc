@@ -20,70 +20,19 @@ const telemetry::Counter t_candidates =
     telemetry::RegisterCounter("retrieval/candidates");
 const telemetry::Counter t_rescored =
     telemetry::RegisterCounter("retrieval/rescored");
-
-/// Interaction filter + budget truncation shared by the single and batched
-/// stage-1 paths — `retrieved` is already in serving order, so truncation
-/// keeps the best survivors. Both callers must run EXACTLY this loop for
-/// the batched path to stay bitwise equal to the per-user one.
-std::vector<int64_t> FilterCandidates(
-    const UserItemGraph& train_graph, int64_t user, int64_t num_candidates,
-    const std::vector<RetrievalCandidate>& retrieved) {
-  std::vector<int64_t> ids;
-  ids.reserve(static_cast<size_t>(num_candidates));
-  for (const RetrievalCandidate& c : retrieved) {
-    if (static_cast<int64_t>(ids.size()) >= num_candidates) break;
-    if (train_graph.HasInteraction(user, c.item)) continue;
-    ids.push_back(c.item);
-  }
-  return ids;
-}
-
 }  // namespace
-
-std::vector<int64_t> RetrieveCandidates(Recommender& model,
-                                        const ItemIndex& index,
-                                        const UserItemGraph& train_graph,
-                                        int64_t user, int64_t num_candidates,
-                                        SearchStats* stats) {
-  SCENEREC_CHECK_GT(num_candidates, 0);
-  SCENEREC_CHECK(user >= 0 && user < train_graph.num_users());
-  t_queries.Add(1);
-
-  // Approximate retrieval, over-fetched by the user's training degree so
-  // that masking interacted items below cannot eat into the candidate
-  // budget.
-  std::vector<float> query(static_cast<size_t>(index.dim()));
-  model.WriteRetrievalQuery(user, query);
-  const int64_t fetch =
-      std::min(num_candidates + train_graph.UserDegree(user),
-               index.num_items());
-  SearchStats local_stats;
-  std::vector<RetrievalCandidate> retrieved;
-  index.Search(query, fetch, &retrieved, &local_stats);
-  t_probes.Add(static_cast<uint64_t>(local_stats.lists_probed));
-
-  std::vector<int64_t> ids =
-      FilterCandidates(train_graph, user, num_candidates, retrieved);
-  t_candidates.Add(static_cast<uint64_t>(ids.size()));
-  t_rescored.Add(static_cast<uint64_t>(ids.size()));
-  if (stats != nullptr) {
-    *stats = local_stats;
-    stats->rescored = static_cast<int64_t>(ids.size());
-  }
-  return ids;
-}
 
 std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
     Recommender& model, const ItemIndex& index,
     const UserItemGraph& train_graph, std::span<const int64_t> users,
-    int64_t num_candidates) {
+    int64_t num_candidates, std::vector<SearchStats>* stats) {
   SCENEREC_CHECK_GT(num_candidates, 0);
   const int64_t nq = static_cast<int64_t>(users.size());
   if (nq == 0) return {};
   t_queries.Add(static_cast<uint64_t>(nq));
 
-  // Same per-user query vector and degree over-fetch as the single-user
-  // path; only the sweep itself is shared.
+  // Over-fetch by the user's training degree so that masking interacted
+  // items below cannot eat into the candidate budget.
   const int64_t dim = index.dim();
   std::vector<float> queries(static_cast<size_t>(nq * dim));
   std::vector<int64_t> fetches(static_cast<size_t>(nq));
@@ -98,18 +47,25 @@ std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
                  index.num_items());
   }
   std::vector<std::vector<RetrievalCandidate>> retrieved;
-  std::vector<SearchStats> batch_stats;
-  index.MultiSearch(queries, fetches, &retrieved, &batch_stats);
+  std::vector<SearchStats> local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  index.MultiSearch(queries, fetches, &retrieved, stats);
 
   std::vector<std::vector<int64_t>> ids(static_cast<size_t>(nq));
-  for (int64_t q = 0; q < nq; ++q) {
-    t_probes.Add(
-        static_cast<uint64_t>(batch_stats[static_cast<size_t>(q)].lists_probed));
-    ids[static_cast<size_t>(q)] =
-        FilterCandidates(train_graph, users[static_cast<size_t>(q)],
-                         num_candidates, retrieved[static_cast<size_t>(q)]);
-    t_candidates.Add(static_cast<uint64_t>(ids[static_cast<size_t>(q)].size()));
-    t_rescored.Add(static_cast<uint64_t>(ids[static_cast<size_t>(q)].size()));
+  for (size_t q = 0; q < ids.size(); ++q) {
+    // `retrieved[q]` is in serving order, so truncation keeps the best
+    // survivors.
+    std::vector<int64_t>& kept = ids[q];
+    kept.reserve(static_cast<size_t>(num_candidates));
+    for (const RetrievalCandidate& c : retrieved[q]) {
+      if (static_cast<int64_t>(kept.size()) >= num_candidates) break;
+      if (train_graph.HasInteraction(users[q], c.item)) continue;
+      kept.push_back(c.item);
+    }
+    t_probes.Add(static_cast<uint64_t>((*stats)[q].lists_probed));
+    t_candidates.Add(kept.size());
+    t_rescored.Add(kept.size());
+    (*stats)[q].rescored = static_cast<int64_t>(kept.size());
   }
   return ids;
 }
@@ -120,21 +76,23 @@ std::vector<Recommendation> TwoStageTopN(Recommender& model,
                                          int64_t user, int64_t n,
                                          int64_t num_candidates,
                                          SearchStats* stats) {
-  SCENEREC_CHECK_GT(n, 0);
   SCENEREC_TRACE_SPAN_F("retrieval/two_stage", "retrieval",
                         trace::Floor::kNone,
                         "user=%lld n=%lld candidates=%lld",
                         static_cast<long long>(user),
                         static_cast<long long>(n),
                         static_cast<long long>(num_candidates));
-  // Stage 1: candidate generation (shared with the serving daemon).
-  const std::vector<int64_t> ids =
-      RetrieveCandidates(model, index, train_graph, user, num_candidates,
-                         stats);
-  if (ids.empty()) return {};
+  // Stage 1: candidate generation, a batch of one.
+  std::vector<SearchStats> batch_stats;
+  const std::vector<std::vector<int64_t>> ids = RetrieveCandidatesBatch(
+      model, index, train_graph, std::span<const int64_t>(&user, 1),
+      num_candidates, &batch_stats);
+  if (stats != nullptr) *stats = batch_stats[0];
 
-  // Stage 2: exact rerank through the shared selection routine.
-  return TopNRecommendations(model.BlockScorer(), user, ids, n);
+  // Stage 2: exact rerank of the (unique) candidates.
+  std::vector<Recommendation> out;
+  ScoreAndSelectTopN(model.BlockScorer(), user, ids[0], n, &out);
+  return out;
 }
 
 double RetrievalRecallAtK(Recommender& model, const ItemIndex& index,

@@ -13,19 +13,18 @@
 namespace scenerec {
 
 /// Two-stage Top-N (docs/retrieval.md): retrieve `num_candidates`
-/// approximate candidates from `index`, drop the user's training
-/// interactions, then rerank the survivors with the EXACT model
-/// (ScoreBlock via the candidate-span TopNRecommendations overload — the
-/// same selection routine and tie order as full-catalog serving). The
-/// retrieval stage over-fetches by the user's training degree so the
-/// interaction filter cannot starve the candidate budget.
+/// approximate candidates from `index` (RetrieveCandidatesBatch with one
+/// user), then rerank the survivors with the EXACT model through
+/// ScoreAndSelectTopN — the same scoring and selection step, tie order
+/// included, as full-catalog serving.
 ///
 /// Returned scores are exact model scores. Under kExactScores fidelity
 /// with num_candidates >= catalog the result is identical to
 /// TopNRecommendations; with a real candidate budget the only possible
 /// difference is recall (a true top-n item the index failed to surface).
-/// `stats`, when non-null, receives the index's per-query accounting with
-/// `rescored` set to the reranked candidate count.
+/// Empty for n <= 0. `stats`, when non-null, receives the index's
+/// per-query accounting with `rescored` set to the reranked candidate
+/// count.
 std::vector<Recommendation> TwoStageTopN(Recommender& model,
                                          const ItemIndex& index,
                                          const UserItemGraph& train_graph,
@@ -33,29 +32,23 @@ std::vector<Recommendation> TwoStageTopN(Recommender& model,
                                          int64_t num_candidates,
                                          SearchStats* stats = nullptr);
 
-/// Stage 1 of TwoStageTopN on its own: the over-fetched approximate sweep,
-/// interaction filter and budget truncation, returning at most
-/// `num_candidates` unique unseen item ids in the index's serving order.
-/// Sharing this function (or its batched twin below) is what keeps serving
-/// daemon results bitwise identical to TwoStageTopN.
-std::vector<int64_t> RetrieveCandidates(Recommender& model,
-                                        const ItemIndex& index,
-                                        const UserItemGraph& train_graph,
-                                        int64_t user, int64_t num_candidates,
-                                        SearchStats* stats = nullptr);
-
-/// Stage 1 for a whole batch of users through ONE index sweep
-/// (ItemIndex::MultiSearch): result [i] is bitwise
-/// RetrieveCandidates(users[i]) — same queries, same per-user over-fetch,
-/// same filter — but the exact backend streams the item matrix through
-/// cache once per batch instead of once per user. This is the shared
-/// retrieval sweep of the serving daemon's coalesced batches
-/// (src/serve/server.cc ServeBatch); duplicate users are simply scored
-/// twice.
+/// Stage 1 of two-stage Top-N for a batch of users through ONE index sweep
+/// (ItemIndex::MultiSearch), so the exact backend streams the item matrix
+/// through cache once per batch instead of once per user. Each user's
+/// query is over-fetched by the user's training degree, the user's
+/// training interactions are dropped, and the survivors are truncated to
+/// the budget: result [i] holds at most `num_candidates` unique unseen item
+/// ids in the index's serving order. MultiSearch answers each query exactly
+/// as Search would, so a user's list does not depend on the rest of the
+/// batch; duplicate users are simply retrieved twice. TwoStageTopN and the
+/// serving daemon's batches (src/serve/server.cc ServeBatch) both take
+/// their candidates from here. `stats`, when non-null, is resized to
+/// users.size() and receives each query's SearchStats with `rescored` set
+/// to that user's candidate count.
 std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
     Recommender& model, const ItemIndex& index,
     const UserItemGraph& train_graph, std::span<const int64_t> users,
-    int64_t num_candidates);
+    int64_t num_candidates, std::vector<SearchStats>* stats = nullptr);
 
 /// Recall@k of `index` against `exact` over `users`: the mean fraction of
 /// each user's exact top-k (by index scores, unmasked) that the candidate

@@ -35,17 +35,14 @@ const telemetry::Histogram h_request_ns =
 const telemetry::Histogram h_batch_size =
     telemetry::RegisterHistogram("serve/batch_size", "requests");
 // Latency breakdown: request_ns = queue_wait_ns (enqueue -> admission) +
-// exec_ns (admission -> result ready) + promise-delivery noise.
+// exec_ns (admission -> this request's result ready) + promise-delivery
+// noise.
 const telemetry::Histogram h_queue_wait_ns =
     telemetry::RegisterHistogram("serve/queue_wait_ns", "ns");
 const telemetry::Histogram h_exec_ns =
     telemetry::RegisterHistogram("serve/exec_ns", "ns");
-// Batches whose flatten buffers (users/items/scores) were served entirely
-// from retained scratch capacity — no catalog-sized allocation. Rises to
-// ~100% of serve/daemon_batches once the scratch is warm (bench_serve
-// reports the ratio as scratch_reuse_pct).
-const telemetry::Counter t_scratch_reuses =
-    telemetry::RegisterCounter("serve/scratch_reuse_batches");
+const telemetry::Counter t_swaps =
+    telemetry::RegisterCounter("serve/model_swaps");
 
 void AtomicMax(std::atomic<uint64_t>& cell, uint64_t v) {
   uint64_t cur = cell.load(std::memory_order_relaxed);
@@ -111,10 +108,11 @@ void Server::Publish(std::shared_ptr<Recommender> model,
       }
       model->AttachUserReprCache(std::move(cache), version);
     }
-    // Read-side preparation happens BEFORE the swap (the ModelHandle
-    // contract), outside the state mutex: in-flight batches keep scoring
-    // the old version while the new one warms its eval caches — the full
-    // catalog in full warm-up mode, only the item side in lazy mode.
+    // Read-side preparation happens BEFORE the swap, outside the state
+    // mutex: in-flight batches keep scoring the old version while the new
+    // one warms its eval caches — the full catalog in full warm-up mode,
+    // only the item side in lazy mode — so the first request on the new
+    // version pays no lazy-init cost.
     SCENEREC_TRACE_SPAN_F("serve/publish_warmup", "serve", trace::Floor::kNone,
                           "version=%llu lazy=%d",
                           static_cast<unsigned long long>(version),
@@ -122,9 +120,16 @@ void Server::Publish(std::shared_ptr<Recommender> model,
     model->OnEvalBegin();
     model->PrepareParallelScoring(prep_pool_);
   }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  handle_.Publish(std::move(model));
-  index_ = std::move(index);
+  SCENEREC_TRACE_SPAN("serve/model_swap", "serve", trace::Floor::kNone);
+  {
+    // The retired pair lands in the parameters and is released after the
+    // lock; batches still holding it keep it alive until they drain.
+    std::lock_guard<std::mutex> lock(state_mu_);
+    model_.swap(model);
+    index_.swap(index);
+  }
+  publishes_.fetch_add(1, std::memory_order_relaxed);
+  t_swaps.Add();
 }
 
 void Server::Start() {
@@ -156,7 +161,7 @@ void Server::Stop() {
 
 bool Server::model_published() const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  return handle_.Acquire() != nullptr;
+  return model_ != nullptr;
 }
 
 bool Server::TopN(int64_t user, std::vector<Recommendation>* out,
@@ -214,7 +219,7 @@ Server::Stats Server::stats() const {
   s.batches = batches_.load(std::memory_order_relaxed);
   s.rows_scored = rows_scored_.load(std::memory_order_relaxed);
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
-  s.publishes = handle_.swap_count();
+  s.publishes = publishes_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -268,7 +273,7 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   AtomicMax(max_batch_, batch.size());
 
   // Latency breakdown: a request's enqueue_ns (stamped by TopN) to here is
-  // queue wait; here to result-ready is exec. Timing is decided per
+  // queue wait; here to its own result is exec. Timing is decided per
   // request: enqueue_ns is 0 when nothing consumed timing at submission,
   // and such a request reports no timing even if it shares the batch with
   // timed ones (telemetry may be toggled between submissions).
@@ -295,7 +300,7 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   std::shared_ptr<const ItemIndex> index;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    model = handle_.Acquire();
+    model = model_;
     index = index_;
   }
   if (model == nullptr) {
@@ -303,86 +308,57 @@ void Server::ServeBatch(std::vector<Request>& batch) {
     return;
   }
 
-  // Stage 1, ONE retrieval sweep for the whole batch:
+  // Stage 1, candidates. Retrieval mode runs ONE sweep for the whole batch:
   // RetrieveCandidatesBatch pushes every request's query through a single
   // ItemIndex::MultiSearch, so the exact backend streams the item matrix
   // through cache once per batch instead of once per request — the main
-  // amortization batched admission buys on the retrieval path. Per request
-  // the candidate list is bitwise RetrieveCandidates', so results stay
-  // identical to per-request serving.
+  // amortization batched admission buys. Full-catalog mode builds each
+  // request's unseen-item list into a vector that keeps its capacity from
+  // earlier batches.
   std::vector<std::vector<int64_t>>& candidates = scratch_.candidates;
   if (config_.num_candidates > 0) {
     std::vector<int64_t>& batch_users = scratch_.batch_users;
     batch_users.clear();
-    batch_users.reserve(batch.size());
     for (const Request& r : batch) batch_users.push_back(r.user);
     candidates = RetrieveCandidatesBatch(*model, *index, train_graph_,
                                          batch_users, config_.num_candidates);
   } else {
     candidates.resize(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      // Out-param overload: the per-request candidate vector keeps its
-      // catalog-sized capacity from earlier batches.
       UninteractedItems(train_graph_, batch[i].user, &candidates[i]);
     }
   }
 
-  // Stage 2, shared: flatten every request's candidate rows into one
-  // (user, item) row list and score it in bounded chunks. ScoreRows is
-  // per-row bitwise equal to Score regardless of co-batched rows, so the
-  // flattening and re-chunking cannot change any request's scores — it
-  // only lets concurrent requests share ScoreRows calls. The flatten buffers
-  // are admission-thread scratch: once warm, no allocation happens here.
-  size_t total = 0;
-  for (const std::vector<int64_t>& c : candidates) total += c.size();
-  std::vector<int64_t>& users = scratch_.users;
-  std::vector<int64_t>& items = scratch_.items;
-  std::vector<float>& scores = scratch_.scores;
-  if (users.capacity() >= total && items.capacity() >= total &&
-      scores.capacity() >= total) {
-    t_scratch_reuses.Add(1);
-  }
-  users.clear();
-  items.clear();
-  users.reserve(total);
-  items.reserve(total);
+  // Stage 2, per request: the library's own score-and-select step, so a
+  // reply is bitwise TopNRecommendations' / TwoStageTopN's. Each reply is
+  // handed over as soon as it is ready; its exec time ends there.
+  const BlockScoreFn score = model->BlockScorer();
+  const uint64_t parent_span =
+      trace::Enabled() ? trace::CurrentContext().span_id : 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    users.insert(users.end(), candidates[i].size(), batch[i].user);
-    items.insert(items.end(), candidates[i].begin(), candidates[i].end());
-  }
-  scores.resize(total);
-  for (size_t offset = 0; offset < total;
-       offset += static_cast<size_t>(kScoreBlockSize)) {
-    const size_t len =
-        std::min(static_cast<size_t>(kScoreBlockSize), total - offset);
-    SCENEREC_TRACE_SPAN_F("serve/score_rows", "serve", trace::Floor::kOp,
-                          "rows=%zu", len);
-    model->ScoreRows(std::span<const int64_t>(users).subspan(offset, len),
-                     std::span<const int64_t>(items).subspan(offset, len),
-                     std::span<float>(scores).subspan(offset, len));
-  }
-  t_rows.Add(total);
-  rows_scored_.fetch_add(total, std::memory_order_relaxed);
-
-  const uint64_t end_ns = any_timed ? trace::internal::NowNs() : 0;
-  const uint64_t exec_ns = end_ns > admit_ns ? end_ns - admit_ns : 0;
-  if (any_timed) {
-    for (const Request& r : batch) {
-      if (!timed(r)) continue;
-      h_exec_ns.Record(exec_ns);
+    Request& r = batch[i];
+    Reply reply;
+    ScoreAndSelectTopN(score, r.user, candidates[i], config_.top_n,
+                       &reply.recommendations);
+    const uint64_t rows = config_.top_n > 0 ? candidates[i].size() : 0;
+    t_rows.Add(rows);
+    rows_scored_.fetch_add(rows, std::memory_order_relaxed);
+    reply.batch_seq = batch_seq;
+    if (timed(r)) {
+      const uint64_t end_ns = trace::internal::NowNs();
+      reply.queue_wait_ns =
+          admit_ns > r.enqueue_ns ? admit_ns - r.enqueue_ns : 0;
+      reply.exec_ns = end_ns > admit_ns ? end_ns - admit_ns : 0;
+      h_exec_ns.Record(reply.exec_ns);
       if (live_trace_ != nullptr) {
-        live_trace_->Record({"serve/exec", admit_ns, exec_ns, r.id, r.user,
-                             batch_seq, batch.size()});
+        live_trace_->Record({"serve/exec", admit_ns, reply.exec_ns, r.id,
+                             r.user, batch_seq, batch.size()});
       }
-    }
-    // Request-scoped spans in the OFFLINE trace too: synthetic children of
-    // the enclosing serve/batch span, so a post-run Chrome trace shows per
-    // request who waited and who rode which batch.
-    if (trace::Enabled()) {
-      const uint64_t parent = trace::CurrentContext().span_id;
-      trace::internal::ThreadBuffer& buf = trace::internal::Buffer();
-      for (const Request& r : batch) {
-        if (!timed(r)) continue;
+      // A request-scoped span in the OFFLINE trace too: a synthetic child
+      // of the enclosing serve/batch span, so a post-run Chrome trace
+      // shows per request who waited and who rode which batch.
+      if (trace::Enabled()) {
+        trace::internal::ThreadBuffer& buf = trace::internal::Buffer();
         const uint64_t span_id =
             (static_cast<uint64_t>(buf.thread_index + 1) << 40) |
             ++buf.next_seq;
@@ -391,34 +367,11 @@ void Server::ServeBatch(std::vector<Request>& batch) {
                       static_cast<unsigned long long>(r.id),
                       static_cast<long long>(r.user));
         trace::internal::Record("serve/request", "serve", r.enqueue_ns,
-                                end_ns - r.enqueue_ns, span_id, parent, args);
+                                end_ns - r.enqueue_ns, span_id, parent_span,
+                                args);
       }
     }
-  }
-
-  // Per-request selection through the shared SelectTopN — the same strict
-  // total order as every other serving surface.
-  size_t pos = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::vector<Recommendation>& scored = scratch_.scored;
-    scored.clear();
-    scored.reserve(candidates[i].size());
-    for (const int64_t item : candidates[i]) {
-      scored.push_back({item, scores[pos++]});
-    }
-    // In-place selection on the reused staging vector; only the n winners
-    // are copied into the reply.
-    SelectTopNInPlace(&scored, config_.top_n);
-    Reply reply;
-    reply.recommendations.assign(scored.begin(), scored.end());
-    if (timed(batch[i])) {
-      reply.queue_wait_ns = admit_ns > batch[i].enqueue_ns
-                                ? admit_ns - batch[i].enqueue_ns
-                                : 0;
-      reply.exec_ns = exec_ns;
-    }
-    reply.batch_seq = batch_seq;
-    batch[i].result.set_value(std::move(reply));
+    r.result.set_value(std::move(reply));
   }
 }
 

@@ -15,7 +15,6 @@
 #include "common/thread_pool.h"
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
-#include "models/model_handle.h"
 #include "models/recommender.h"
 #include "retrieval/item_index.h"
 #include "serve/slo.h"
@@ -79,27 +78,27 @@ struct ServerConfig {
   int64_t live_trace_capacity = 4096;
 };
 
-/// The always-on serving daemon: owns the published model (a ModelHandle)
-/// plus its matching retrieval index, accepts Top-N requests from any
-/// number of client threads through a bounded MPMC queue, and serves them
-/// from ONE admission loop that coalesces concurrently-waiting requests
-/// into shared batched work — one candidate sweep per batch, all requests'
-/// candidate rows flattened into shared ScoreRows calls
-/// (docs/serving.md#daemon).
+/// The always-on serving daemon: owns the published model plus its matching
+/// retrieval index, accepts Top-N requests from any number of client
+/// threads through a bounded MPMC queue, and serves them from ONE admission
+/// loop that coalesces concurrently-waiting requests into a batch — one
+/// candidate sweep per batch in retrieval mode — and ends every request in
+/// ScoreAndSelectTopN (docs/serving.md#daemon).
 ///
 /// Results are bitwise identical to per-request serving: candidate lists
-/// come from the same UninteractedItems / RetrieveCandidates helpers the
-/// library paths use, ScoreRows is per-row bitwise equal to Score, and
-/// selection goes through the same SelectTopN — so TopN() returns exactly
-/// what TopNRecommendations / TwoStageTopN would, regardless of which
-/// requests happened to share a batch.
+/// come from the same UninteractedItems / RetrieveCandidatesBatch helpers
+/// the library paths use, and scoring and selection are the same
+/// ScoreAndSelectTopN call, so TopN() returns exactly what
+/// TopNRecommendations / TwoStageTopN would, regardless of which requests
+/// happened to share a batch.
 ///
 /// Hot swap: Publish() prepares the read side of the incoming model
 /// (OnEvalBegin + PrepareParallelScoring), then swaps model and index as
 /// one unit under the state mutex. Each batch acquires the state once, so
 /// a batch never mixes two versions and never pairs a model with another
-/// version's index; old snapshots unmap when their last batch drains
-/// (ModelHandle's drain-based retirement).
+/// version's index. Retirement is drain-based: the old model (and, for a
+/// snapshot-bound model, its file mapping) dies with the last batch still
+/// holding it.
 class Server {
  public:
   /// `train_graph` is the interaction-masking graph; it must outlive the
@@ -154,9 +153,9 @@ class Server {
     uint64_t rejected = 0;      ///< refused because the server was stopped
     uint64_t invalid_users = 0; ///< refused for an out-of-range user id
     uint64_t batches = 0;       ///< admission batches served
-    uint64_t rows_scored = 0;   ///< flattened (user, item) rows scored
+    uint64_t rows_scored = 0;   ///< (user, item) candidate rows scored
     uint64_t max_batch = 0;     ///< largest batch actually coalesced
-    uint64_t publishes = 0;     ///< Publish() calls (ModelHandle swaps)
+    uint64_t publishes = 0;     ///< Publish() calls
   };
   Stats stats() const;
 
@@ -199,18 +198,13 @@ class Server {
   void Loop();
   void ServeBatch(std::vector<Request>& batch);
 
-  /// Reusable buffers of the admission thread: every O(catalog)-sized
-  /// vector ServeBatch fills (candidate lists, the stage-2 flatten, the
-  /// selection staging area) keeps its capacity across batches, so a
-  /// steady-state batch allocates nothing catalog-sized. Touched only by
-  /// the Loop thread.
+  /// Reusable candidate buffers of the admission thread: the per-request
+  /// full-catalog lists keep their capacity across batches (scoring and
+  /// selection scratch lives in ScoreAndSelectTopN). Touched only by the
+  /// Loop thread.
   struct BatchScratch {
     std::vector<std::vector<int64_t>> candidates;
     std::vector<int64_t> batch_users;
-    std::vector<int64_t> users;
-    std::vector<int64_t> items;
-    std::vector<float> scores;
-    std::vector<Recommendation> scored;
   };
   BatchScratch scratch_;
 
@@ -221,10 +215,9 @@ class Server {
   ThreadPool prep_pool_{1};
 
   /// Model and index swap as one unit under state_mu_ so a reader can
-  /// never pair a model with another version's index. The ModelHandle
-  /// inside still provides drain-based retirement and the swap counter.
+  /// never pair a model with another version's index.
   mutable std::mutex state_mu_;
-  ModelHandle handle_;
+  std::shared_ptr<Recommender> model_;
   std::shared_ptr<const ItemIndex> index_;
 
   /// Lazy-warm-up state: the user-representation cache (created by the
@@ -245,6 +238,7 @@ class Server {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> rows_scored_{0};
   std::atomic<uint64_t> max_batch_{0};
+  std::atomic<uint64_t> publishes_{0};
   std::atomic<uint64_t> next_request_id_{0};
 
   SloTracker slo_;

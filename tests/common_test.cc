@@ -355,7 +355,23 @@ TEST(FlagParserTest, UnknownFlagRejected) {
   flags.AddInt64("seed", 0, "");
   char a0[] = "prog", a1[] = "--sede=3";
   char* argv[] = {a0, a1};
-  EXPECT_FALSE(flags.Parse(2, argv).ok());
+  const Status status = flags.Parse(2, argv);
+  EXPECT_FALSE(status.ok());
+  // The status names the flag only; callers print Help() once themselves.
+  EXPECT_NE(status.message().find("--sede"), std::string::npos);
+  EXPECT_EQ(status.message().find("--seed"), std::string::npos);
+  EXPECT_EQ(status.message().find("Flags:"), std::string::npos);
+}
+
+TEST(FlagParserTest, HelpPrintsUsageAndExitsZero) {
+  // Re-executes the binary for the child: this suite starts thread pools,
+  // and a forked child's exit would run their destructors without threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FlagParser flags;
+  flags.AddInt64("seed", 0, "RNG seed");
+  char a0[] = "prog", a1[] = "--help";
+  char* argv[] = {a0, a1};
+  EXPECT_EXIT(flags.Parse(2, argv), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(FlagParserTest, BadValueRejected) {

@@ -14,9 +14,12 @@
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
 #include "eval/metrics.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
+
+using testing::PairScorer;
 
 // -- RankOfPositive ----------------------------------------------------------
 
@@ -102,7 +105,7 @@ TEST(EvaluatorTest, PerfectModelScoresOne) {
   auto score = [](int64_t, int64_t item) {
     return item >= 100 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 1.0);
   EXPECT_EQ(m.num_instances, 5);
@@ -116,7 +119,7 @@ TEST(EvaluatorTest, WorstModelScoresZero) {
   auto score = [](int64_t, int64_t item) {
     return item == 999 ? -1.0f : 1.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 0.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 0.0);
 }
@@ -131,7 +134,7 @@ TEST(EvaluatorTest, MidRankGivesPartialCredit) {
     if (item == 50) return 0.5f;
     return item < 4 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 1.0 / std::log2(6.0));
 }
@@ -145,7 +148,7 @@ TEST(EvaluatorTest, ConstantScorerIsNotPerfect) {
   instances[0].positive_item = 100;
   for (int64_t n = 0; n < 19; ++n) instances[0].negative_items.push_back(n);
   auto score = [](int64_t, int64_t) { return 0.5f; };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 10.0 / 20.0);
   EXPECT_LT(m.ndcg, 1.0);
   EXPECT_GT(m.ndcg, 0.0);
@@ -159,7 +162,7 @@ TEST(EvaluatorTest, NonFiniteScoresPoisonMetrics) {
   auto score = [](int64_t, int64_t item) {
     return item == 100 ? std::numeric_limits<float>::quiet_NaN() : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_TRUE(std::isnan(m.hr));
   EXPECT_TRUE(std::isnan(m.ndcg));
   EXPECT_TRUE(std::isnan(m.mrr));
@@ -172,7 +175,8 @@ TEST(EvaluatorTest, FullRankingNonFiniteScoresPoisonMetrics) {
   auto score = [](int64_t, int64_t item) {
     return item == 4 ? std::numeric_limits<float>::infinity() : 0.5f;
   };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 2);
+  RankingMetrics m =
+      EvaluateFullRanking(PairScorer(score), train, instances, 2);
   EXPECT_TRUE(std::isnan(m.ndcg));
 }
 
@@ -183,13 +187,15 @@ TEST(EvaluatorTest, FullRankingGivesTiedItemsExpectedCredit) {
   std::vector<EvalInstance> instances(1);
   instances[0] = {0, 2, {}};
   auto score = [](int64_t, int64_t) { return 1.0f; };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 1);
+  RankingMetrics m =
+      EvaluateFullRanking(PairScorer(score), train, instances, 1);
   EXPECT_DOUBLE_EQ(m.hr, 1.0 / 3.0);
 }
 
 TEST(EvaluatorTest, EmptyInstances) {
   RankingMetrics m =
-      EvaluateRanking([](int64_t, int64_t) { return 0.0f; }, {}, 10);
+      EvaluateRanking(PairScorer([](int64_t, int64_t) { return 0.0f; }), {},
+                      10);
   EXPECT_EQ(m.num_instances, 0);
   EXPECT_DOUBLE_EQ(m.hr, 0.0);
 }
@@ -208,7 +214,7 @@ TEST(EvaluatorTest, MrrReported) {
     if (item == 50) return 0.5f;
     return item <= 2 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.mrr, 1.0 / 3.0);
 }
 
@@ -232,7 +238,8 @@ TEST(EvaluatorTest, FullRankingMasksTrainingItems) {
         return 1.0f;
     }
   };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 2);
+  RankingMetrics m =
+      EvaluateFullRanking(PairScorer(score), train, instances, 2);
   // Only item 3 outranks the positive among non-train candidates -> rank 1.
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.mrr, 0.5);
@@ -253,8 +260,9 @@ TEST(EvaluatorTest, FullRankingHarderThanSampled) {
     if (item == 199) return 50.0f;
     return item >= 100 ? 100.0f : 0.0f;
   };
-  RankingMetrics sampled = EvaluateRanking(score, instances, 10);
-  RankingMetrics full = EvaluateFullRanking(score, train, instances, 10);
+  RankingMetrics sampled = EvaluateRanking(PairScorer(score), instances, 10);
+  RankingMetrics full =
+      EvaluateFullRanking(PairScorer(score), train, instances, 10);
   EXPECT_DOUBLE_EQ(sampled.hr, 1.0);
   EXPECT_DOUBLE_EQ(full.hr, 0.0);  // rank 99
   EXPECT_LE(full.hr, sampled.hr);
@@ -270,7 +278,7 @@ TEST(EvaluatorTest, AveragesAcrossInstances) {
     if (item == 200) return -2.0f;  // below all negatives
     return 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 1);
+  RankingMetrics m = EvaluateRanking(PairScorer(score), instances, 1);
   EXPECT_DOUBLE_EQ(m.hr, 0.5);
   EXPECT_DOUBLE_EQ(m.ndcg, 0.5);
 }
@@ -282,7 +290,7 @@ TEST(TopNTest, ExcludesTrainingItemsAndSortsByScore) {
   auto score = [](int64_t, int64_t item) {
     return static_cast<float>(item);  // higher id = higher score
   };
-  auto recs = TopNRecommendations(score, train, 0, 3);
+  auto recs = TopNRecommendations(PairScorer(score), train, 0, 3);
   ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[0].item, 4);  // 5 excluded (training item)
   EXPECT_EQ(recs[1].item, 3);
@@ -336,7 +344,7 @@ TEST(TopNTest, UninteractedItemsMatchesHasInteractionFilter) {
 TEST(TopNTest, TiesBrokenByLowerItemId) {
   UserItemGraph train = UserItemGraph::Build(1, 5, {{0, 0}});
   auto score = [](int64_t, int64_t) { return 1.0f; };
-  auto recs = TopNRecommendations(score, train, 0, 2);
+  auto recs = TopNRecommendations(PairScorer(score), train, 0, 2);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].item, 1);
   EXPECT_EQ(recs[1].item, 2);
@@ -346,7 +354,7 @@ TEST(TopNTest, FewerCandidatesThanN) {
   UserItemGraph train =
       UserItemGraph::Build(1, 3, {{0, 0}, {0, 1}});
   auto score = [](int64_t, int64_t) { return 0.0f; };
-  auto recs = TopNRecommendations(score, train, 0, 10);
+  auto recs = TopNRecommendations(PairScorer(score), train, 0, 10);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].item, 2);
 }
@@ -357,24 +365,6 @@ TEST(TopNTest, FewerCandidatesThanN) {
 float HashScore(int64_t user, int64_t item) {
   return static_cast<float>(((user * 31 + item) * 2654435761u) % 1000) -
          500.0f;
-}
-
-TEST(EvaluatorTest, BlockScoreFnMatchesPerPairAdapters) {
-  std::vector<EvalInstance> instances(3);
-  instances[0] = {0, 7, {1, 2, 3}};
-  instances[1] = {1, 9, {4, 5, 6}};
-  instances[2] = {2, 11, {1, 5, 9}};
-  BlockScoreFn block = [](int64_t user, std::span<const int64_t> items,
-                          std::span<float> out) {
-    for (size_t r = 0; r < items.size(); ++r) {
-      out[r] = HashScore(user, items[r]);
-    }
-  };
-  RankingMetrics per_pair = EvaluateRanking(ScoreFn(HashScore), instances, 2);
-  RankingMetrics blocked = EvaluateRanking(block, instances, 2);
-  EXPECT_DOUBLE_EQ(per_pair.hr, blocked.hr);
-  EXPECT_DOUBLE_EQ(per_pair.ndcg, blocked.ndcg);
-  EXPECT_DOUBLE_EQ(per_pair.mrr, blocked.mrr);
 }
 
 TEST(EvaluatorTest, FullRankingChunksBlocksAtScoreBlockSize) {
@@ -397,22 +387,17 @@ TEST(EvaluatorTest, FullRankingChunksBlocksAtScoreBlockSize) {
   RankingMetrics blocked = EvaluateFullRanking(block, train, instances, 10);
   EXPECT_LE(max_block, static_cast<size_t>(kScoreBlockSize));
   EXPECT_EQ(scored, num_items - 1);  // full catalog minus the masked item 0
-  RankingMetrics per_pair =
-      EvaluateFullRanking(ScoreFn(HashScore), train, instances, 10);
-  EXPECT_DOUBLE_EQ(per_pair.hr, blocked.hr);
-  EXPECT_DOUBLE_EQ(per_pair.ndcg, blocked.ndcg);
-  EXPECT_DOUBLE_EQ(per_pair.mrr, blocked.mrr);
-}
-
-TEST(EvaluatorTest, BlockScorerFromPairsForwardsEveryCandidate) {
-  BlockScoreFn block = BlockScorerFromPairs(ScoreFn(HashScore));
-  std::vector<int64_t> items = {5, 0, 9};
-  std::vector<float> out(items.size());
-  block(3, items, out);
-  for (size_t r = 0; r < items.size(); ++r) {
-    EXPECT_EQ(out[r], HashScore(3, items[r]));
+  // The positive's rank counted over the whole unmasked catalog at once.
+  PositiveRank rank;
+  const float positive = HashScore(0, 42);
+  for (int64_t item = 1; item < num_items; ++item) {
+    if (item == 42) continue;
+    rank.num_above += HashScore(0, item) > positive ? 1 : 0;
+    rank.num_tied += HashScore(0, item) == positive ? 1 : 0;
   }
-  block(3, std::span<const int64_t>(), std::span<float>());  // no-op
+  EXPECT_DOUBLE_EQ(blocked.hr, HitRatioAtK(rank, 10));
+  EXPECT_DOUBLE_EQ(blocked.ndcg, NdcgAtK(rank, 10));
+  EXPECT_DOUBLE_EQ(blocked.mrr, ReciprocalRank(rank));
 }
 
 TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
@@ -424,7 +409,7 @@ TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
   auto score = [](int64_t, int64_t item) {
     return static_cast<float>(item % 7);
   };
-  auto recs = TopNRecommendations(ScoreFn(score), train, 0, 25);
+  auto recs = TopNRecommendations(PairScorer(score), train, 0, 25);
 
   std::vector<std::pair<float, int64_t>> expected;
   for (int64_t i = 0; i < num_items; ++i) {
@@ -510,20 +495,20 @@ TEST(TopNTest, NonFiniteScoresRankLastAndMatchFullSort) {
 
   // The serving helper takes the same order end to end.
   UserItemGraph train = UserItemGraph::Build(1, num_items, {});
-  const auto recs = TopNRecommendations(ScoreFn(score), train, 0, num_items);
+  const auto recs = TopNRecommendations(PairScorer(score), train, 0, num_items);
   ASSERT_EQ(recs.size(), static_cast<size_t>(num_items));
   for (size_t r = 0; r < recs.size(); ++r) {
     ASSERT_EQ(recs[r].item, expected[r]) << "rank " << r;
   }
 }
 
-// -- Candidate-span overload (the shared two-stage selection routine) ----------
+// -- Candidate-span overload ---------------------------------------------------
 
 TEST(TopNTest, CandidateSpanOverloadMatchesGraphPath) {
   // Unmasked full catalog through the span overload equals the graph
   // overload for a user with no training interactions to mask.
   UserItemGraph train = UserItemGraph::Build(2, 40, {{1, 0}});
-  BlockScoreFn block = BlockScorerFromPairs(ScoreFn(HashScore));
+  BlockScoreFn block = PairScorer(HashScore);
   std::vector<int64_t> all(40);
   for (int64_t i = 0; i < 40; ++i) all[i] = i;
   const auto want = TopNRecommendations(block, train, 0, 7);
@@ -536,8 +521,8 @@ TEST(TopNTest, CandidateSpanOverloadMatchesGraphPath) {
 }
 
 TEST(TopNTest, CandidateSpanOverloadSelectsOnlyFromCandidates) {
-  BlockScoreFn block = BlockScorerFromPairs(
-      ScoreFn([](int64_t, int64_t item) { return static_cast<float>(item); }));
+  BlockScoreFn block = PairScorer(
+      [](int64_t, int64_t item) { return static_cast<float>(item); });
   const std::vector<int64_t> candidates = {9, 2, 14, 5};
   const auto recs = TopNRecommendations(block, 0, candidates, 3);
   ASSERT_EQ(recs.size(), 3u);
@@ -547,8 +532,7 @@ TEST(TopNTest, CandidateSpanOverloadSelectsOnlyFromCandidates) {
 }
 
 TEST(TopNTest, CandidateSpanOverloadEdgeCases) {
-  BlockScoreFn block = BlockScorerFromPairs(
-      ScoreFn([](int64_t, int64_t) { return 1.0f; }));
+  BlockScoreFn block = PairScorer([](int64_t, int64_t) { return 1.0f; });
   // Empty candidate span -> empty result.
   EXPECT_TRUE(
       TopNRecommendations(block, 0, std::span<const int64_t>(), 5).empty());
@@ -558,6 +542,14 @@ TEST(TopNTest, CandidateSpanOverloadEdgeCases) {
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].item, 4);
   EXPECT_EQ(recs[1].item, 8);
+  // ScoreAndSelectTopN replaces whatever `*out` held, also when it selects
+  // nothing.
+  std::vector<Recommendation> out = {{99, 9.0f}};
+  ScoreAndSelectTopN(block, 0, two, 1, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].item, 4);
+  ScoreAndSelectTopN(block, 0, two, 0, &out);
+  EXPECT_TRUE(out.empty());
 }
 
 // Candidate spans wider than one scoring block are chunked exactly like

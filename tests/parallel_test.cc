@@ -228,16 +228,16 @@ TEST_F(ParallelTrainTest, ParallelEvaluationIsBitwiseIdentical) {
   BprMf model(dataset_.num_users, dataset_.num_items, 16, rng);
   model.OnEvalBegin();
   const RankingMetrics serial =
-      EvaluateRanking(model.Scorer(), split_.test, 10, nullptr);
+      EvaluateRanking(model.BlockScorer(), split_.test, 10, nullptr);
   const RankingMetrics serial_full = EvaluateFullRanking(
-      model.Scorer(), train_graph_, split_.test, 10, nullptr);
+      model.BlockScorer(), train_graph_, split_.test, 10, nullptr);
 
   ThreadPool pool(4);
   ASSERT_TRUE(model.PrepareParallelScoring(pool));
   const RankingMetrics parallel =
-      EvaluateRanking(model.Scorer(), split_.test, 10, &pool);
+      EvaluateRanking(model.BlockScorer(), split_.test, 10, &pool);
   const RankingMetrics parallel_full = EvaluateFullRanking(
-      model.Scorer(), train_graph_, split_.test, 10, &pool);
+      model.BlockScorer(), train_graph_, split_.test, 10, &pool);
 
   EXPECT_DOUBLE_EQ(serial.hr, parallel.hr);
   EXPECT_DOUBLE_EQ(serial.ndcg, parallel.ndcg);
@@ -290,13 +290,13 @@ TEST_F(ParallelTrainTest, SceneRecParallelScoringMatchesSerial) {
 
   model.OnEvalBegin();
   const RankingMetrics serial =
-      EvaluateRanking(model.Scorer(), split_.test, 10, nullptr);
+      EvaluateRanking(model.BlockScorer(), split_.test, 10, nullptr);
 
   ThreadPool pool(4);
   model.OnEvalBegin();
   ASSERT_TRUE(model.PrepareParallelScoring(pool));
   const RankingMetrics parallel =
-      EvaluateRanking(model.Scorer(), split_.test, 10, &pool);
+      EvaluateRanking(model.BlockScorer(), split_.test, 10, &pool);
 
   EXPECT_DOUBLE_EQ(serial.hr, parallel.hr);
   EXPECT_DOUBLE_EQ(serial.ndcg, parallel.ndcg);

@@ -1,10 +1,9 @@
-// Cross-model equivalence tests for the block-scoring path
-// (docs/serving.md): for every factory model — batching fast paths and
-// per-pair fallbacks alike — ScoreBlock must be bitwise equal to per-pair
-// Score(), and the block-based ranking/serving entry points must reproduce
-// the per-pair results exactly, serial and parallel. Runs under TSan (the
-// parallel block sweep) and ASan+UBSan (span/buffer arithmetic) via
-// tools/check.sh.
+// Cross-model tests of the block-scoring contract (docs/serving.md): for
+// every factory model — batching fast paths and per-pair fallbacks alike —
+// ScoreBlock must be bitwise equal to per-pair Score(), and a parallel
+// block sweep must reproduce the serial per-pair metrics exactly. Runs
+// under TSan (the parallel block sweep) and ASan+UBSan (span/buffer
+// arithmetic) via tools/check.sh.
 
 #include <algorithm>
 #include <cmath>
@@ -25,6 +24,7 @@
 #include "models/factory.h"
 #include "models/scene_rec.h"
 #include "tensor/tensor.h"
+#include "tests/test_util.h"
 #include "train/trainer.h"
 
 namespace scenerec {
@@ -152,43 +152,6 @@ TEST_F(ScoringTest, EmptyBlockIsNoOp) {
   }
 }
 
-// Full-ranking metrics are bitwise identical between the per-pair ScoreFn
-// path and the block path, for a batching model and a fallback model.
-TEST_F(ScoringTest, FullRankingMetricsIdenticalAcrossPaths) {
-  for (const char* name : {"SceneRec", "BPR-MF", "NGCF", "NCF"}) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<Recommender> model = Make(name);
-    ASSERT_NE(model, nullptr);
-    model->OnEvalBegin();
-    const RankingMetrics per_pair = EvaluateFullRanking(
-        model->Scorer(), train_graph_, split_.test, 10, nullptr);
-    const RankingMetrics block = EvaluateFullRanking(
-        model->BlockScorer(), train_graph_, split_.test, 10, nullptr);
-    EXPECT_DOUBLE_EQ(per_pair.hr, block.hr);
-    EXPECT_DOUBLE_EQ(per_pair.ndcg, block.ndcg);
-    EXPECT_DOUBLE_EQ(per_pair.mrr, block.mrr);
-    EXPECT_EQ(per_pair.num_instances, block.num_instances);
-  }
-}
-
-// Sampled-protocol metrics likewise.
-TEST_F(ScoringTest, SampledRankingMetricsIdenticalAcrossPaths) {
-  for (const char* name : {"SceneRec-noatt", "KGAT", "ItemRank"}) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<Recommender> model = Make(name);
-    ASSERT_NE(model, nullptr);
-    model->OnEvalBegin();
-    const RankingMetrics per_pair =
-        EvaluateRanking(model->Scorer(), split_.test, 10, nullptr);
-    model->OnEvalBegin();
-    const RankingMetrics block =
-        EvaluateRanking(model->BlockScorer(), split_.test, 10, nullptr);
-    EXPECT_DOUBLE_EQ(per_pair.hr, block.hr);
-    EXPECT_DOUBLE_EQ(per_pair.ndcg, block.ndcg);
-    EXPECT_DOUBLE_EQ(per_pair.mrr, block.mrr);
-  }
-}
-
 // Parallel block scoring (concurrent ScoreBlock on pool threads, reading
 // the caches PrepareParallelScoring filled) reproduces the serial per-pair
 // metrics bitwise. This is the TSan-critical sweep.
@@ -199,8 +162,10 @@ TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
     std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
+    const BlockScoreFn per_pair = testing::PairScorer(
+        [&](int64_t user, int64_t item) { return model->Score(user, item); });
     const RankingMetrics serial = EvaluateFullRanking(
-        model->Scorer(), train_graph_, split_.test, 10, nullptr);
+        per_pair, train_graph_, split_.test, 10, nullptr);
     ThreadPool pool(4);
     ASSERT_TRUE(model->PrepareParallelScoring(pool));
     const RankingMetrics parallel = EvaluateFullRanking(
@@ -208,28 +173,6 @@ TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
     EXPECT_DOUBLE_EQ(serial.hr, parallel.hr);
     EXPECT_DOUBLE_EQ(serial.ndcg, parallel.ndcg);
     EXPECT_DOUBLE_EQ(serial.mrr, parallel.mrr);
-  }
-}
-
-// Top-N serving: the block path with partial selection returns the exact
-// list of the per-pair path, for every model.
-TEST_F(ScoringTest, TopNIdenticalAcrossPathsForAllModels) {
-  for (const std::string& name : AllModelNames()) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<Recommender> model = Make(name);
-    ASSERT_NE(model, nullptr);
-    model->OnEvalBegin();
-    for (int64_t user : {int64_t{0}, int64_t{11}}) {
-      const auto per_pair =
-          TopNRecommendations(model->Scorer(), train_graph_, user, 10);
-      const auto block =
-          TopNRecommendations(model->BlockScorer(), train_graph_, user, 10);
-      ASSERT_EQ(per_pair.size(), block.size());
-      for (size_t i = 0; i < per_pair.size(); ++i) {
-        EXPECT_EQ(per_pair[i].item, block[i].item) << "rank " << i;
-        EXPECT_EQ(per_pair[i].score, block[i].score) << "rank " << i;
-      }
-    }
   }
 }
 
@@ -346,9 +289,10 @@ TEST_F(ScoringTest, TrainedHeadsAgreeOnRankingMetrics) {
   ASSERT_TRUE(TrainAndEvaluate(*model, split.value(), graph, train).ok());
 
   model->OnEvalBegin();
-  const ScoreFn concat = [&](int64_t user, int64_t item) {
-    return ConcatScore(*model, user, item);
-  };
+  const BlockScoreFn concat =
+      testing::PairScorer([&](int64_t user, int64_t item) {
+        return ConcatScore(*model, user, item);
+      });
   const auto& test = split.value().test;
   const RankingMetrics sampled_concat = EvaluateRanking(concat, test, 10);
   const RankingMetrics sampled =
@@ -374,7 +318,7 @@ TEST_F(ScoringTest, FullyMaskedCatalogEdgeCase) {
   UserItemGraph graph = UserItemGraph::Build(1, 5, interactions);
   std::vector<EvalInstance> instances(1);
   instances[0] = {0, 3, {}};
-  BlockScoreFn score = BlockScorerFromPairs(
+  BlockScoreFn score = testing::PairScorer(
       [](int64_t, int64_t item) { return static_cast<float>(item); });
   const RankingMetrics m = EvaluateFullRanking(score, graph, instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);

@@ -11,9 +11,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <set>
-#include <string>
+#include <cstdio>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
 #include "models/factory.h"
+#include "nn/snapshot.h"
 #include "retrieval/index_builder.h"
 #include "retrieval/two_stage.h"
 #include "serve/observe.h"
@@ -159,18 +162,26 @@ class ServeTest : public ::testing::Test {
     scene_graph_ = dataset_.BuildSceneGraph();
   }
 
-  /// Distinct seeds give genuinely different parameters — a hot swap
-  /// between them is observable in every user's Top-N list.
-  std::shared_ptr<Recommender> MakeModel(const std::string& name,
-                                         uint64_t seed) {
+  ModelContext Context() const {
     ModelContext context;
     context.user_item = &graph_;
     context.scene = &scene_graph_;
+    return context;
+  }
+
+  static ModelFactoryConfig FactoryConfig(uint64_t seed) {
     ModelFactoryConfig config;
     config.embedding_dim = 16;
     config.max_neighbors = 8;
     config.seed = seed;
-    auto model = MakeRecommender(name, context, config);
+    return config;
+  }
+
+  /// Distinct seeds give genuinely different parameters — a hot swap
+  /// between them is observable in every user's Top-N list.
+  std::shared_ptr<Recommender> MakeModel(const std::string& name,
+                                         uint64_t seed) {
+    auto model = MakeRecommender(name, Context(), FactoryConfig(seed));
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     if (!model.ok()) return nullptr;
     std::shared_ptr<Recommender> shared = std::move(model).value();
@@ -198,6 +209,17 @@ class ServeTest : public ::testing::Test {
           model, index, graph_, u, kTopN, kCandidates);
     }
     return expected;
+  }
+
+  static bool SameList(const std::vector<Recommendation>& got,
+                       const std::vector<Recommendation>& want) {
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].item != want[i].item || got[i].score != want[i].score) {
+        return false;
+      }
+    }
+    return true;
   }
 
   static void ExpectSameList(const std::vector<Recommendation>& got,
@@ -250,9 +272,8 @@ class ServeTest : public ::testing::Test {
 
 // Coalescing must be invisible in results: per-request (max_batch=1) and
 // batched admission, driven by concurrent clients, both return exactly the
-// library path's lists for every user. Covers the daemon's flattening of
-// several users' rows into shared ScoreRows calls, for SceneRec's
-// factorized head and for BPR-MF.
+// library path's lists for every user, for SceneRec's factorized head and
+// for BPR-MF.
 TEST_F(ServeTest, FullCatalogBitwiseMatchesLibraryForBatchedAndSequential) {
   for (const char* name : {"BPR-MF", "SceneRec"}) {
     SCOPED_TRACE(name);
@@ -301,45 +322,39 @@ TEST_F(ServeTest, RetrievalModeBitwiseMatchesTwoStageTopN) {
 // Hot swap under live traffic: every in-flight result must be ENTIRELY
 // version A or ENTIRELY version B (each request's list equals one of the
 // two library lists bit-for-bit — a torn batch would match neither), and
-// once the publish has happened requests eventually settle on B.
+// once the publish has happened requests eventually settle on B. Version B
+// is served zero-copy from a snapshot, as scenerec_serve serves its newest
+// one, so batches score through the file mapping while A retires.
 TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   std::shared_ptr<Recommender> model_a = MakeModel("BPR-MF", 21);
-  std::shared_ptr<Recommender> model_b = MakeModel("BPR-MF", 22);
   ASSERT_NE(model_a, nullptr);
-  ASSERT_NE(model_b, nullptr);
+  const std::string path = ::testing::TempDir() + "serve_test_swap_" +
+                           std::to_string(getpid()) + ".srsnap";
+  {
+    std::shared_ptr<Recommender> writer = MakeModel("BPR-MF", 22);
+    ASSERT_NE(writer, nullptr);
+    ASSERT_TRUE(WriteSnapshot(*writer, "BPR-MF", 2, path).ok());
+  }
+  auto opened = OpenRecommenderFromSnapshot(path, Context(), FactoryConfig(22));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::shared_ptr<Recommender> model_b = std::move(opened).value();
+  model_b->OnEvalBegin();
   const auto expected_a = FullCatalogExpected(*model_a);
   const auto expected_b = FullCatalogExpected(*model_b);
   // The swap must be observable, or the test is vacuous.
   bool differs = false;
   for (int64_t u = 0; u < dataset_.num_users && !differs; ++u) {
-    const auto& a = expected_a[static_cast<size_t>(u)];
-    const auto& b = expected_b[static_cast<size_t>(u)];
-    if (a.size() != b.size()) { differs = true; break; }
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].item != b[i].item || a[i].score != b[i].score) {
-        differs = true;
-        break;
-      }
-    }
+    differs = !SameList(expected_a[static_cast<size_t>(u)],
+                        expected_b[static_cast<size_t>(u)]);
   }
   ASSERT_TRUE(differs);
-
-  auto matches = [](const std::vector<Recommendation>& got,
-                    const std::vector<Recommendation>& want) {
-    if (got.size() != want.size()) return false;
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].item != want[i].item || got[i].score != want[i].score) {
-        return false;
-      }
-    }
-    return true;
-  };
 
   serve::Server server(Config(/*max_batch=*/4, 0), graph_);
   server.Publish(model_a);
   server.Start();
 
   std::atomic<int64_t> next{0};
+  std::atomic<bool> published{false};
   std::atomic<int64_t> version_a_hits{0};
   std::atomic<int64_t> version_b_hits{0};
   const int64_t total = dataset_.num_users * 10;
@@ -350,10 +365,15 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
       for (;;) {
         const int64_t seq = next.fetch_add(1);
         if (seq >= total) break;
+        // The second half of the traffic waits for the swap, so it lands
+        // mid-traffic however slow the publish runs (sanitizer builds).
+        while (seq >= total / 2 && !published.load()) {
+          std::this_thread::yield();
+        }
         const int64_t user = seq % dataset_.num_users;
         ASSERT_TRUE(server.TopN(user, &got));
-        const bool is_a = matches(got, expected_a[static_cast<size_t>(user)]);
-        const bool is_b = matches(got, expected_b[static_cast<size_t>(user)]);
+        const bool is_a = SameList(got, expected_a[static_cast<size_t>(user)]);
+        const bool is_b = SameList(got, expected_b[static_cast<size_t>(user)]);
         ASSERT_TRUE(is_a || is_b) << "torn result for user " << user;
         (is_a ? version_a_hits : version_b_hits).fetch_add(1);
       }
@@ -363,6 +383,7 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   std::thread publisher([&] {
     while (next.load() < total / 4) std::this_thread::yield();
     server.Publish(model_b);
+    published.store(true);
   });
   publisher.join();
   for (std::thread& t : clients) t.join();
@@ -377,6 +398,7 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   EXPECT_EQ(server.stats().publishes, 2u);
   EXPECT_GT(version_b_hits.load(), 0);
   EXPECT_EQ(version_a_hits.load() + version_b_hits.load(), total);
+  std::remove(path.c_str());
 }
 
 // Retrieval-mode swap: model and index swap as ONE unit. Pairing model B
@@ -396,17 +418,6 @@ TEST_F(ServeTest, RetrievalHotSwapKeepsModelAndIndexPaired) {
   const auto expected_a = RetrievalExpected(*model_a, *index_a);
   const auto expected_b = RetrievalExpected(*model_b, *index_b);
 
-  auto matches = [](const std::vector<Recommendation>& got,
-                    const std::vector<Recommendation>& want) {
-    if (got.size() != want.size()) return false;
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].item != want[i].item || got[i].score != want[i].score) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   serve::Server server(Config(/*max_batch=*/4, kCandidates), graph_);
   server.Publish(model_a, index_a);
   server.Start();
@@ -421,8 +432,8 @@ TEST_F(ServeTest, RetrievalHotSwapKeepsModelAndIndexPaired) {
         if (seq >= total) break;
         const int64_t user = seq % dataset_.num_users;
         ASSERT_TRUE(server.TopN(user, &got));
-        ASSERT_TRUE(matches(got, expected_a[static_cast<size_t>(user)]) ||
-                    matches(got, expected_b[static_cast<size_t>(user)]))
+        ASSERT_TRUE(SameList(got, expected_a[static_cast<size_t>(user)]) ||
+                    SameList(got, expected_b[static_cast<size_t>(user)]))
             << "torn model/index pairing for user " << user;
       }
     });
@@ -541,6 +552,18 @@ uint64_t RequestHistCount() {
   const telemetry::HistogramSample* hist = snapshot.FindHistogram("serve/request_ns");
   return hist == nullptr ? 0 : hist->data.count;
 }
+
+/// Count column of the `window <name> <unit> <count> ...` row of a `vars`
+/// payload; -1 when the row is missing.
+int64_t WindowCount(const std::string& vars, const std::string& name) {
+  const size_t at = vars.find("window " + name + " ");
+  if (at == std::string::npos) return -1;
+  std::istringstream row(vars.substr(at));
+  std::string tag, hist, unit;
+  int64_t count = -1;
+  row >> tag >> hist >> unit >> count;
+  return count;
+}
 }  // namespace
 
 // Regression test for the rejected-request accounting fix: a submission
@@ -652,7 +675,8 @@ TEST_F(ServeTest, StatsEndpointServesVerbsWithBitwiseIdenticalResults) {
   serve::ServerConfig config = Config(/*max_batch=*/4, 0);
   config.stats_socket = ::testing::TempDir() + "serve_test_stats_" +
                         std::to_string(getpid()) + ".sock";
-  config.stats_window_ms = 50;
+  config.stats_window_ms = 50;  // a 500 ms window: it drains within the test
+  config.stats_window_intervals = 10;
   serve::Server server(config, graph_);
   server.Publish(model);
   server.Start();
@@ -670,14 +694,27 @@ TEST_F(ServeTest, StatsEndpointServesVerbsWithBitwiseIdenticalResults) {
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics.value().find("scenerec_serve_daemon_requests"),
             std::string::npos);
+  EXPECT_NE(metrics.value().find("scenerec_window_serve_request_ns"),
+            std::string::npos);
   EXPECT_FALSE(server.stats_endpoint()->Handle("bogus").ok());
 
   auto vars = UnixSocketRequest(config.stats_socket, "vars");
   ASSERT_TRUE(vars.ok()) << vars.status().ToString();
   EXPECT_NE(vars.value().find("server requests "), std::string::npos);
+  EXPECT_GT(WindowCount(vars.value(), "serve/request_ns"), 0);
   auto trace = UnixSocketRequest(config.stats_socket, "trace");
   ASSERT_TRUE(trace.ok());
   EXPECT_NE(trace.value().find("serve/exec"), std::string::npos);
+  EXPECT_NE(trace.value().find("request_id"), std::string::npos);
+
+  // After one full idle window the windowed view is empty again, while the
+  // cumulative totals persist.
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      config.stats_window_ms * config.stats_window_intervals + 200));
+  auto idle = UnixSocketRequest(config.stats_socket, "vars");
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  EXPECT_EQ(WindowCount(idle.value(), "serve/request_ns"), 0);
+  EXPECT_NE(idle.value().find("server requests "), std::string::npos);
 
   server.Stop();
   EXPECT_FALSE(UnixSocketRequest(config.stats_socket, "vars").ok());
@@ -767,17 +804,6 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
   const auto expected_a = FullCatalogExpected(*model_a);
   const auto expected_b = FullCatalogExpected(*model_b);
 
-  auto matches = [](const std::vector<Recommendation>& got,
-                    const std::vector<Recommendation>& want) {
-    if (got.size() != want.size()) return false;
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].item != want[i].item || got[i].score != want[i].score) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   serve::ServerConfig config = Config(/*max_batch=*/4, 0);
   config.warmup = serve::ServerConfig::Warmup::kLazy;
   config.user_cache_entries = dataset_.num_users / 4;  // eviction stays live
@@ -786,6 +812,7 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
   server.Start();
 
   std::atomic<int64_t> next{0};
+  std::atomic<bool> published{false};
   std::atomic<int64_t> version_b_hits{0};
   const int64_t total = dataset_.num_users * 10;
   std::vector<std::thread> clients;
@@ -795,6 +822,10 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
       for (;;) {
         const int64_t seq = next.fetch_add(1);
         if (seq >= total) break;
+        // The second half waits for the swap, as in the test above.
+        while (seq >= total / 2 && !published.load()) {
+          std::this_thread::yield();
+        }
         // Skewed mix: half the traffic concentrates on 5 hot users (well
         // inside the 10-entry cache, so residency pays off), half cycles
         // the whole catalog (so eviction churn never stops). A pure
@@ -803,8 +834,8 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
         const int64_t user = (seq & 1) != 0 ? seq % dataset_.num_users
                                             : (seq >> 1) % 5;
         ASSERT_TRUE(server.TopN(user, &got));
-        const bool is_a = matches(got, expected_a[static_cast<size_t>(user)]);
-        const bool is_b = matches(got, expected_b[static_cast<size_t>(user)]);
+        const bool is_a = SameList(got, expected_a[static_cast<size_t>(user)]);
+        const bool is_b = SameList(got, expected_b[static_cast<size_t>(user)]);
         ASSERT_TRUE(is_a || is_b)
             << "stale-cache or torn result for user " << user;
         if (is_b) version_b_hits.fetch_add(1);
@@ -814,6 +845,7 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
   std::thread publisher([&] {
     while (next.load() < total / 4) std::this_thread::yield();
     server.Publish(model_b);
+    published.store(true);
   });
   publisher.join();
   for (std::thread& t : clients) t.join();
@@ -829,8 +861,10 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
   EXPECT_GT(version_b_hits.load(), 0);
   const ReprCache::Stats cache = server.user_cache_stats();
   EXPECT_GT(cache.hits, 0u);
+  EXPECT_GT(cache.misses, 0u);
   EXPECT_GT(cache.evictions, 0u);
   EXPECT_LE(cache.entries, config.user_cache_entries);
+  EXPECT_LE(cache.bytes, cache.capacity_bytes);
 }
 
 // Models without a user-repr capability fall back to full warm-up

@@ -2,11 +2,15 @@
 #define SCENEREC_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/evaluator.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -38,6 +42,16 @@ inline void ExpectVectorNear(const std::vector<float>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], tol) << "at index " << i;
   }
+}
+
+/// Wraps a per-pair score function as the BlockScoreFn every evaluation
+/// and Top-N entry point takes: out[r] = score(user, items[r]).
+inline BlockScoreFn PairScorer(std::function<float(int64_t, int64_t)> score) {
+  return [score = std::move(score)](int64_t user,
+                                    std::span<const int64_t> items,
+                                    std::span<float> out) {
+    for (size_t r = 0; r < items.size(); ++r) out[r] = score(user, items[r]);
+  };
 }
 
 }  // namespace testing

@@ -9,9 +9,9 @@
 # BENCH_telemetry.json holds the telemetry-enabled vs -disabled epoch times
 # (BM_TrainEpochTelemetry/1 vs /0) and BENCH_trace.json the same pair for
 # span tracing (BM_TrainEpochTrace); the disabled-mode overhead budget for
-# both layers is <1%. BENCH_scoring.json pairs the per-pair and block
-# scoring paths on full ranking and Top-N (docs/serving.md) — the
-# *PerPair/*Block ratio is the batching speedup. BENCH_snapshot.json pairs
+# both layers is <1%. BENCH_scoring.json times block scoring, the only
+# scoring convention, on full ranking and Top-N for SceneRec and BPR-MF
+# (docs/serving.md). BENCH_snapshot.json pairs
 # the copying checkpoint load against the zero-copy mmap open
 # (BM_CheckpointLoadCopy vs BM_SnapshotMmapOpen) plus the crash-safe write
 # throughput of the snapshot store. BENCH_retrieval.json pairs two-stage
@@ -31,8 +31,8 @@
 # bench_serve, docs/serving.md#warmup) on a users>>items world: full vs
 # lazy warm-up swap-to-first-response (acceptance: lazy >= 5x faster) and
 # closed-loop Zipf steady-state QPS (acceptance: lazy within 5% of full,
-# with hit_rate_pct / resident_mb / scratch_reuse_pct counters on the lazy
-# row). BENCH_observe.json is
+# with hit_rate_pct / resident_mb counters on the lazy row).
+# BENCH_observe.json is
 # the stats-socket scrape cost (docs/observability.md): per-verb scrape
 # latency plus closed-loop daemon QPS with and without a 5 Hz background
 # scraper — the BM_ObserveDaemonScraped row's scrape_overhead_pct counter

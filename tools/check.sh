@@ -3,13 +3,14 @@
 # the persistent parameter store:
 #   1. regular build + full test suite, then snapshot_inspect --selftest
 #      (train -> versioned snapshot write -> zero-copy open -> bitwise
-#      score check -> hot swap) and scenerec_serve --selftest (concurrent
-#      clients through the batched admission loop, bitwise-checked against
-#      per-request serving, with a hot swap under live traffic, plus a
-#      live scrape of its own stats socket mid-traffic) and
-#      scenerec_stat --selftest (a daemon with the observability plane on:
-#      windowed percentiles that move with load, healthz/SLO transitions,
-#      every socket verb), all against freshly trained mini-models
+#      score check -> retrieval index over the mapping) and
+#      scenerec_serve --selftest (the binary trains through the snapshot
+#      store, then concurrent clients through the batched admission loop
+#      across a hot swap onto the zero-copy snapshot, bitwise-checked
+#      against TopNRecommendations) and scenerec_stat --selftest (a daemon
+#      with the observability plane on: windowed percentiles that move with
+#      load, healthz/SLO transitions, every socket verb), all against
+#      freshly trained mini-models
 #   2. ThreadSanitizer build (-DSCENEREC_SANITIZE=thread) + the tests that
 #      exercise concurrency (ThreadPool, sharded training, parallel eval,
 #      the serving daemon)
@@ -48,14 +49,14 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "==> stage 1: snapshot store end-to-end selftest"
 # Full persistent-store chain against a freshly trained mini-model; exits
-# non-zero on any score drift, versioning bug, or swap hiccup.
+# non-zero on any score drift, versioning bug, or index mismatch.
 build/tools/snapshot_inspect --selftest
 
 echo "==> stage 1: serving daemon end-to-end selftest"
-# Trains a mini-model, then drives the batched admission loop from
-# concurrent clients (full-catalog and two-stage retrieval modes, plus one
-# hot swap under live traffic) and bitwise-compares every response against
-# the per-request library path.
+# Trains a mini-model through the snapshot store, then drives the batched
+# admission loop from concurrent clients across one hot swap onto the
+# newest snapshot opened zero-copy, and bitwise-compares every response
+# against TopNRecommendations. The daemon's other modes are serve_test's.
 build/tools/scenerec_serve --selftest
 
 echo "==> stage 1: stats CLI end-to-end selftest"
@@ -83,9 +84,9 @@ build-tsan/tests/telemetry_test
 # proves the export-at-quiescence contract (pool join happens-before
 # Snapshot) actually holds across ParallelFor and a traced training run.
 build-tsan/tests/trace_test
-# The hot-swap primitive: ModelHandle::Publish racing concurrent
-# TopNFromHandle readers on the pool must be data-race-free and must never
-# serve a torn (two-version) result.
+# Snapshot open/bind/retire: the mapping pins are shared_ptr owners that a
+# retiring model releases on whichever thread drops it last. The hot swap
+# of a snapshot-bound model under live traffic runs in serve_test below.
 build-tsan/tests/snapshot_test
 # One shared ItemIndex serving concurrent Search calls on pool threads:
 # const reads of centroids/lists/codes with all scratch query-local.

@@ -1,30 +1,28 @@
 // scenerec_serve: the always-on Top-N serving daemon (src/serve/server.h,
 // docs/serving.md#daemon). Owns a published model (hot-swappable) plus its
 // retrieval index and serves concurrent clients through an admission loop
-// that coalesces waiting requests into shared scoring batches.
+// that coalesces waiting requests into batches.
 //
 //   scenerec_serve [flags]        train a model on the configured dataset,
 //                                 publish it, then drive --requests blocking
 //                                 Top-N requests from --clients closed-loop
 //                                 threads and report QPS / p50 / p99
-//   scenerec_serve --selftest     end-to-end smoke (exit 0 iff PASS): spin
-//                                 up, ~1k requests from concurrent clients,
-//                                 one snapshot hot swap under live traffic,
-//                                 bitwise verification against the library
-//                                 paths, retrieval mode, clean shutdown
+//   scenerec_serve --selftest     end-to-end smoke (exit 0 iff PASS): train
+//                                 through the snapshot store, serve ~850
+//                                 requests from concurrent clients across a
+//                                 hot swap onto the newest snapshot opened
+//                                 zero-copy, bitwise-checked against
+//                                 TopNRecommendations, then clean shutdown
 //
 // tools/check.sh runs --selftest under the regular, TSan, and ASan gate
-// builds, so the daemon's admission loop, queue and hot-swap path get
-// sanitizer coverage on every CI run.
+// builds. Every other daemon behaviour (retrieval mode, SceneRec, the stats
+// socket, SLO, lazy warm-up) is covered by tests/serve_test.cc.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "common/malloc_tuning.h"
 #include "common/repr_cache.h"
 #include "common/rng.h"
-#include "common/socket_server.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "data/split.h"
@@ -42,7 +39,6 @@
 #include "models/factory.h"
 #include "nn/snapshot.h"
 #include "retrieval/index_builder.h"
-#include "retrieval/two_stage.h"
 #include "serve/server.h"
 #include "train/trainer.h"
 
@@ -79,29 +75,15 @@ StatusOr<double> ParseSkew(const std::string& skew) {
                                  "\" (expected uniform | zipf:<s>, s > 0)");
 }
 
-/// Count column of one `window <name> ...` line in a `vars` payload.
-uint64_t VarsWindowCount(const std::string& vars, const std::string& name) {
-  const std::string key = "window " + name + " ";
-  const size_t at = vars.find(key);
-  if (at == std::string::npos) return 0;
-  std::istringstream row(vars.substr(at + key.size()));
-  std::string unit;
-  uint64_t count = 0;
-  row >> unit >> count;
-  return count;
-}
-
 // ---------------------------------------------------------------------------
 // --selftest
 // ---------------------------------------------------------------------------
 
-/// Everything the selftest phases share: a small synthetic dataset and its
-/// training graph/scene graph.
+/// The selftest's small synthetic dataset and its training graph.
 struct SelfTestWorld {
   Dataset dataset;
   LeaveOneOutSplit split;
   UserItemGraph train_graph;
-  SceneGraph scene_graph;
 };
 
 StatusOr<SelfTestWorld> BuildWorld() {
@@ -123,24 +105,20 @@ StatusOr<SelfTestWorld> BuildWorld() {
   world.train_graph =
       UserItemGraph::Build(world.dataset.num_users, world.dataset.num_items,
                            world.split.train);
-  world.scene_graph = world.dataset.BuildSceneGraph();
   return world;
 }
 
 /// Drives `total` blocking requests against `server` from `clients` threads
-/// (users round-robin over the catalog, or following `user_seq` when
-/// non-empty — the Zipf phases pass a pre-sampled skewed sequence) and
-/// checks every result bitwise against `expected_a` or `expected_b` — a
-/// request in flight across the hot swap may legally see either version,
-/// but never a mixture. Returns false (and prints) on any mismatch or
-/// rejected request.
+/// (users round-robin over the catalog) and checks every result bitwise
+/// against `expected_a` or `expected_b` — a request in flight across the
+/// hot swap may legally see either version, but never a mixture. Returns
+/// false (and prints) on any mismatch or rejected request.
 bool DriveAndVerify(serve::Server& server, int64_t num_users, int64_t total,
                     int clients,
                     const std::vector<std::vector<Recommendation>>& expected_a,
                     const std::vector<std::vector<Recommendation>>& expected_b,
                     std::atomic<uint64_t>* matched_a,
-                    std::atomic<uint64_t>* matched_b,
-                    std::span<const int64_t> user_seq = {}) {
+                    std::atomic<uint64_t>* matched_b) {
   std::atomic<int64_t> next{0};
   std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
@@ -151,9 +129,7 @@ bool DriveAndVerify(serve::Server& server, int64_t num_users, int64_t total,
       for (;;) {
         const int64_t seq = next.fetch_add(1, std::memory_order_relaxed);
         if (seq >= total) break;
-        const int64_t user = user_seq.empty()
-                                 ? seq % num_users
-                                 : user_seq[static_cast<size_t>(seq)];
+        const int64_t user = seq % num_users;
         if (!server.TopN(user, &got)) {
           std::fprintf(stderr, "FAIL request %lld rejected\n",
                        static_cast<long long>(seq));
@@ -260,7 +236,7 @@ int SelfTest(std::string dir) {
     return 1;
   }
 
-  // Phase 1: full-catalog daemon, hot swap under live traffic.
+  // The full-catalog daemon, hot swap onto the snapshot under live traffic.
   {
     serve::ServerConfig config;
     config.top_n = kTopN;
@@ -318,383 +294,6 @@ int SelfTest(std::string dir) {
         static_cast<unsigned long long>(matched_b.load()),
         static_cast<unsigned long long>(stats.batches),
         static_cast<unsigned long long>(stats.max_batch));
-  }
-
-  // Phase 2: retrieval-mode daemon (two-stage) with per-version indexes,
-  // verified against TwoStageTopN through the same swap choreography.
-  {
-    const int64_t kCandidates = 48;
-    auto index_a_or = IndexBuilder().Build(*model_a);
-    if (!index_a_or.ok()) return Fail("index A", index_a_or.status());
-    auto index_b_or = IndexBuilder().Build(*model_b);
-    if (!index_b_or.ok()) return Fail("index B", index_b_or.status());
-    std::shared_ptr<const ItemIndex> index_a = std::move(index_a_or).value();
-    std::shared_ptr<const ItemIndex> index_b = std::move(index_b_or).value();
-
-    std::vector<std::vector<Recommendation>> two_stage_a(
-        static_cast<size_t>(num_users));
-    std::vector<std::vector<Recommendation>> two_stage_b(
-        static_cast<size_t>(num_users));
-    for (int64_t u = 0; u < num_users; ++u) {
-      two_stage_a[static_cast<size_t>(u)] = TwoStageTopN(
-          *model_a, *index_a, world.train_graph, u, kTopN, kCandidates);
-      two_stage_b[static_cast<size_t>(u)] = TwoStageTopN(
-          *model_b, *index_b, world.train_graph, u, kTopN, kCandidates);
-    }
-
-    serve::ServerConfig config;
-    config.top_n = kTopN;
-    config.max_batch = 8;
-    config.max_delay_us = 200;
-    config.queue_capacity = 32;
-    config.num_candidates = kCandidates;
-    serve::Server server(config, world.train_graph);
-    server.Publish(model_a, index_a);
-    server.Start();
-
-    std::atomic<uint64_t> matched_a{0};
-    std::atomic<uint64_t> matched_b{0};
-    std::thread swapper([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      server.Publish(model_b, index_b);
-    });
-    bool ok = DriveAndVerify(server, num_users, /*total=*/400, kClients,
-                             two_stage_a, two_stage_b, &matched_a, &matched_b);
-    swapper.join();
-    if (!ok) return 1;
-    std::printf(
-        "retrieval: 400 requests bitwise-equal to TwoStageTopN across a "
-        "live swap (A=%llu B=%llu)\n",
-        static_cast<unsigned long long>(matched_a.load()),
-        static_cast<unsigned long long>(matched_b.load()));
-  }
-
-  // Phase 3: SceneRec through the daemon's coalesced ScoreRows calls — a
-  // daemon batch must be bitwise identical to per-request library serving.
-  {
-    ModelContext scene_context;
-    scene_context.user_item = &world.train_graph;
-    scene_context.scene = &world.scene_graph;
-    ModelFactoryConfig scene_config;
-    scene_config.embedding_dim = 8;
-    auto scene_or = MakeRecommender("SceneRec", scene_context, scene_config);
-    if (!scene_or.ok()) return Fail("scenerec factory", scene_or.status());
-    std::shared_ptr<Recommender> scene_model = std::move(scene_or).value();
-    TrainConfig scene_train;
-    scene_train.epochs = 1;
-    scene_train.patience = 0;
-    if (auto r = TrainAndEvaluate(*scene_model, world.split,
-                                  world.train_graph, scene_train);
-        !r.ok()) {
-      return Fail("scenerec train", r.status());
-    }
-    scene_model->OnEvalBegin();
-    std::vector<std::vector<Recommendation>> expected(
-        static_cast<size_t>(num_users));
-    for (int64_t u = 0; u < num_users; ++u) {
-      expected[static_cast<size_t>(u)] = TopNRecommendations(
-          scene_model->BlockScorer(), world.train_graph, u, kTopN);
-    }
-
-    serve::ServerConfig config;
-    config.top_n = kTopN;
-    config.max_batch = 8;
-    config.max_delay_us = 200;
-    config.queue_capacity = 32;
-    serve::Server server(config, world.train_graph);
-    server.Publish(scene_model);
-    server.Start();
-    std::atomic<uint64_t> matched{0};
-    std::atomic<uint64_t> unused{0};
-    if (!DriveAndVerify(server, num_users, /*total=*/200, kClients, expected,
-                        expected, &matched, &unused)) {
-      return 1;
-    }
-    server.Stop();
-    const serve::Server::Stats stats = server.stats();
-    std::printf(
-        "scenerec: 200 requests through coalesced ScoreRows calls bitwise "
-        "match library serving (%llu batches, largest %llu)\n",
-        static_cast<unsigned long long>(stats.batches),
-        static_cast<unsigned long long>(stats.max_batch));
-  }
-
-  // Phase 4: live observability plane (docs/observability.md). A daemon
-  // with its stats socket active is scraped mid-traffic: healthz must be
-  // ready, the windowed request histogram must carry recent load (and drain
-  // once traffic stops — windowed, not since-boot), the trace verb must
-  // yield request-scoped spans, and results must stay bitwise identical to
-  // the library path with the socket active.
-  {
-    const std::string socket_path = dir + "/stats.sock";
-    serve::ServerConfig config;
-    config.top_n = kTopN;
-    config.max_batch = 8;
-    config.max_delay_us = 200;
-    config.queue_capacity = 32;
-    config.stats_socket = socket_path;
-    config.stats_window_ms = 50;  // 50ms x 10 = 500ms window: decay is
-    config.stats_window_intervals = 10;  // observable within the selftest
-    config.slo_target_p99_us = 1'000'000;  // generous: must stay healthy
-    serve::Server server(config, world.train_graph);
-    server.Publish(model_b);
-    server.Start();
-
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> served{0};
-    std::atomic<bool> ok{true};
-    std::vector<std::thread> drivers;
-    for (int c = 0; c < kClients; ++c) {
-      drivers.emplace_back([&, c] {
-        std::vector<Recommendation> got;
-        serve::Server::RequestTicket ticket;
-        int64_t user = c;
-        while (!stop.load(std::memory_order_relaxed)) {
-          user = (user + kClients) % num_users;
-          if (!server.TopN(user, &got, &ticket) || ticket.id == 0 ||
-              !SameRecommendations(got,
-                                   expected_b[static_cast<size_t>(user)])) {
-            ok.store(false, std::memory_order_relaxed);
-            return;
-          }
-          served.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-
-    auto scrape = [&](const std::string& verb) {
-      return UnixSocketRequest(socket_path, verb, /*timeout_ms=*/5000);
-    };
-    auto check = [&](bool cond, const char* what) {
-      if (!cond) {
-        std::fprintf(stderr, "FAIL observability: %s\n", what);
-        return false;
-      }
-      return true;
-    };
-
-    // Let the window see real traffic before the first scrape.
-    while (served.load(std::memory_order_relaxed) < 200 &&
-           ok.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    auto health = scrape("healthz");
-    auto metrics = scrape("metrics");
-    auto stats_json = scrape("stats");
-    auto vars1 = scrape("vars");
-    const uint64_t served1 = served.load(std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    auto vars2 = scrape("vars");
-    auto trace_json = scrape("trace");
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& t : drivers) t.join();
-
-    if (!check(ok.load(), "a request failed or went non-bitwise while the "
-                          "stats socket was being scraped")) {
-      return 1;
-    }
-    if (!check(health.ok() &&
-                   health.value().find("\"ok\": true") != std::string::npos,
-               "healthz not ready under live traffic") ||
-        !check(metrics.ok() &&
-                   metrics.value().find("scenerec_serve_daemon_requests") !=
-                       std::string::npos &&
-                   metrics.value().find("scenerec_window_serve_request_ns") !=
-                       std::string::npos,
-               "prometheus exposition missing daemon metrics") ||
-        !check(stats_json.ok() &&
-                   stats_json.value().find("\"windows\"") !=
-                       std::string::npos &&
-                   stats_json.value().find("\"slo\"") != std::string::npos,
-               "stats JSON missing windows/slo sections") ||
-        !check(vars1.ok() && vars2.ok(),
-               "vars scrape failed under live traffic")) {
-      return 1;
-    }
-    const uint64_t window1 = VarsWindowCount(vars1.value(),
-                                             "serve/request_ns");
-    const uint64_t window2 = VarsWindowCount(vars2.value(),
-                                             "serve/request_ns");
-    if (!check(window1 > 0 && window2 > 0,
-               "windowed serve/request_ns empty under live traffic") ||
-        !check(served.load() > served1 && window2 != 0,
-               "windowed percentiles did not move with injected load") ||
-        !check(trace_json.ok() &&
-                   trace_json.value().find("serve/exec") !=
-                       std::string::npos &&
-                   trace_json.value().find("request_id") != std::string::npos,
-               "live trace drain missing request-scoped spans")) {
-      return 1;
-    }
-
-    // Idle drain: after > the full window span with no traffic, the
-    // windowed view must decay to empty while cumulative totals persist.
-    std::this_thread::sleep_for(std::chrono::milliseconds(700));
-    auto vars_idle = scrape("vars");
-    if (!check(vars_idle.ok() &&
-                   VarsWindowCount(vars_idle.value(), "serve/request_ns") ==
-                       0,
-               "windowed histogram did not drain after idle") ||
-        !check(vars_idle.value().find("server requests ") !=
-                   std::string::npos,
-               "cumulative counters missing after idle")) {
-      return 1;
-    }
-
-    server.Stop();
-    if (!check(!UnixSocketRequest(socket_path, "vars", 500).ok(),
-               "stats socket still answering after Stop")) {
-      return 1;
-    }
-    std::printf(
-        "observability: healthz/metrics/stats/vars/trace scraped live "
-        "(window %llu -> %llu samples, drained to 0 after idle)\n",
-        static_cast<unsigned long long>(window1),
-        static_cast<unsigned long long>(window2));
-  }
-
-  // Phase 5: the SLO degrade path — an absurd 1us p99 target must burn the
-  // error budget and flip healthz to degraded without affecting results.
-  {
-    const std::string socket_path = dir + "/stats_slo.sock";
-    serve::ServerConfig config;
-    config.top_n = kTopN;
-    config.max_batch = 8;
-    config.max_delay_us = 0;
-    config.queue_capacity = 32;
-    config.stats_socket = socket_path;
-    config.stats_window_ms = 50;
-    config.stats_window_intervals = 10;
-    config.slo_target_p99_us = 1;
-    serve::Server server(config, world.train_graph);
-    server.Publish(model_b);
-    server.Start();
-    std::vector<Recommendation> got;
-    for (int64_t u = 0; u < num_users; ++u) {
-      if (!server.TopN(u, &got) ||
-          !SameRecommendations(got, expected_b[static_cast<size_t>(u)])) {
-        std::fprintf(stderr, "FAIL slo-mode serving went wrong\n");
-        return 1;
-      }
-    }
-    auto health = UnixSocketRequest(socket_path, "healthz", 5000);
-    if (!health.ok() ||
-        health.value().find("\"ok\": false") == std::string::npos ||
-        health.value().find("degraded") == std::string::npos) {
-      std::fprintf(stderr, "FAIL healthz did not degrade on a blown SLO\n");
-      return 1;
-    }
-    server.Stop();
-    std::printf("slo: blown 1us target degrades healthz, serving unaffected\n");
-  }
-
-  // Phase 6: lazy warm-up — the demand-paged user-representation cache
-  // (docs/serving.md#warmup) under Zipf-skewed traffic, including a hot
-  // swap onto a COLD cache. Two SceneRec versions, a cache far smaller than
-  // the user set (eviction live), skewed users: every response must stay
-  // bitwise identical to the library (full-warm-up-equivalent) results of
-  // version A or B, and strictly B once the swap has drained.
-  {
-    ModelContext scene_context;
-    scene_context.user_item = &world.train_graph;
-    scene_context.scene = &world.scene_graph;
-    ModelFactoryConfig cfg_a;
-    cfg_a.embedding_dim = 8;
-    cfg_a.seed = 101;
-    ModelFactoryConfig cfg_b = cfg_a;
-    cfg_b.seed = 202;  // a genuinely different version
-    auto a_or = MakeRecommender("SceneRec", scene_context, cfg_a);
-    if (!a_or.ok()) return Fail("lazy factory A", a_or.status());
-    auto b_or = MakeRecommender("SceneRec", scene_context, cfg_b);
-    if (!b_or.ok()) return Fail("lazy factory B", b_or.status());
-    std::shared_ptr<Recommender> lazy_a = std::move(a_or).value();
-    std::shared_ptr<Recommender> lazy_b = std::move(b_or).value();
-
-    lazy_a->OnEvalBegin();
-    lazy_b->OnEvalBegin();
-    std::vector<std::vector<Recommendation>> lazy_expected_a(
-        static_cast<size_t>(num_users));
-    std::vector<std::vector<Recommendation>> lazy_expected_b(
-        static_cast<size_t>(num_users));
-    for (int64_t u = 0; u < num_users; ++u) {
-      lazy_expected_a[static_cast<size_t>(u)] = TopNRecommendations(
-          lazy_a->BlockScorer(), world.train_graph, u, kTopN);
-      lazy_expected_b[static_cast<size_t>(u)] = TopNRecommendations(
-          lazy_b->BlockScorer(), world.train_graph, u, kTopN);
-    }
-
-    serve::ServerConfig config;
-    config.top_n = kTopN;
-    config.max_batch = 8;
-    config.max_delay_us = 200;
-    config.queue_capacity = 32;
-    config.warmup = serve::ServerConfig::Warmup::kLazy;
-    config.user_cache_entries = num_users / 4;  // forces eviction churn
-    serve::Server server(config, world.train_graph);
-    server.Publish(lazy_a);
-    server.Start();
-
-    // Pre-sampled Zipf user sequence: hot users dominate, but the tail is
-    // long enough to keep missing/evicting.
-    const int64_t kLazyRequests = 600;
-    ZipfSampler zipf(static_cast<uint64_t>(num_users), 1.1);
-    Rng zipf_rng(7);
-    std::vector<int64_t> user_seq(static_cast<size_t>(kLazyRequests));
-    for (int64_t& u : user_seq) {
-      u = static_cast<int64_t>(zipf.Sample(zipf_rng));
-    }
-
-    std::atomic<uint64_t> matched_a{0};
-    std::atomic<uint64_t> matched_b{0};
-    std::thread swapper([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      server.Publish(lazy_b);  // version B starts with a COLD cache
-    });
-    bool ok = DriveAndVerify(server, num_users, kLazyRequests, kClients,
-                             lazy_expected_a, lazy_expected_b, &matched_a,
-                             &matched_b, user_seq);
-    swapper.join();
-    if (!ok) return 1;
-    // Post-swap, every user — hot, cold, or evicted — must be pure B.
-    std::vector<Recommendation> got;
-    for (int64_t u = 0; u < num_users; ++u) {
-      if (!server.TopN(u, &got) ||
-          !SameRecommendations(got, lazy_expected_b[static_cast<size_t>(u)])) {
-        std::fprintf(stderr,
-                     "FAIL lazy post-swap result for user %lld is not "
-                     "version B\n",
-                     static_cast<long long>(u));
-        return 1;
-      }
-    }
-    server.Stop();
-
-    const ReprCache::Stats cache = server.user_cache_stats();
-    if (cache.hits == 0 || cache.misses == 0 || cache.evictions == 0 ||
-        cache.entries > config.user_cache_entries ||
-        cache.bytes > cache.capacity_bytes) {
-      std::fprintf(stderr,
-                   "FAIL lazy cache stats implausible: hits=%llu misses=%llu "
-                   "evictions=%llu entries=%lld capacity=%lld\n",
-                   static_cast<unsigned long long>(cache.hits),
-                   static_cast<unsigned long long>(cache.misses),
-                   static_cast<unsigned long long>(cache.evictions),
-                   static_cast<long long>(cache.entries),
-                   static_cast<long long>(config.user_cache_entries));
-      return 1;
-    }
-    std::printf(
-        "lazy-warmup: %lld zipf requests + full sweep bitwise across a "
-        "cold-cache swap (A=%llu B=%llu, cache %lld/%lld entries, "
-        "hit rate %.0f%%, %llu evictions)\n",
-        static_cast<long long>(kLazyRequests),
-        static_cast<unsigned long long>(matched_a.load()),
-        static_cast<unsigned long long>(matched_b.load()),
-        static_cast<long long>(cache.entries),
-        static_cast<long long>(config.user_cache_entries),
-        100.0 * static_cast<double>(cache.hits) /
-            static_cast<double>(cache.hits + cache.misses),
-        static_cast<unsigned long long>(cache.evictions));
   }
 
   std::printf("PASS\n");
