@@ -207,7 +207,10 @@ class Recommender : public Module {
 
   /// Exports the [num_items, RetrievalDim()] item matrix (plus optional
   /// bias). Not safe concurrently with scoring if eval caches are cold.
-  /// CHECK-fails unless SupportsRetrievalEmbeddings().
+  /// Models with eval caches fill them here, so the export doubles as the
+  /// item side of a warm-up (SceneRec's runs on the default pool and leaves
+  /// PrepareParallelScoring only the user side). CHECK-fails unless
+  /// SupportsRetrievalEmbeddings().
   virtual RetrievalEmbeddings ExportItemEmbeddings();
 
   /// Writes the user's query embedding into `out` (size RetrievalDim()),
@@ -253,7 +256,10 @@ class Recommender : public Module {
   }
 
   /// Hook invoked before an evaluation sweep, e.g. to refresh cached
-  /// propagated embeddings with the current parameters. Default no-op.
+  /// propagated embeddings with the current parameters. Models may keep
+  /// caches that are still current: SceneRec compares its stamp against
+  /// ParameterVersion() and clears only after a parameter write, so an
+  /// unwritten model is neither recomputed nor written. Default no-op.
   virtual void OnEvalBegin() {}
 
   /// Hook invoked at the start of every training epoch (e.g. KGAT refreshes

@@ -5,12 +5,25 @@
 #include <utility>
 
 #include "common/repr_cache.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "models/neighbor_util.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace scenerec {
+
+namespace {
+
+/// True when `memos` holds `n` filled slots: a warm-up stage with nothing
+/// left to compute.
+bool AllFilled(const std::vector<Tensor>& memos, int64_t n) {
+  return static_cast<int64_t>(memos.size()) == n &&
+         std::all_of(memos.begin(), memos.end(),
+                     [](const Tensor& t) { return t.defined(); });
+}
+
+}  // namespace
 
 SceneRec::SceneRec(const UserItemGraph* user_item, const SceneGraph* scene,
                    const SceneRecConfig& config, Rng& rng)
@@ -67,9 +80,21 @@ Tensor SceneRec::SceneSum(int64_t category, StepCaches& caches) const {
   return memo;
 }
 
-void SceneRec::ClearStepCaches() { step_caches_.Clear(); }
+void SceneRec::ClearStepCaches() {
+  step_caches_.Clear();
+  eval_version_.reset();
+}
+
+void SceneRec::StampEvalMemos() {
+  if (!eval_version_.has_value()) eval_version_ = ParameterVersion();
+}
 
 void SceneRec::OnEvalBegin() {
+  // Every eval memo derives from the parameters and graphs alone, so memos
+  // stamped with the current parameter version are still exact. Anything
+  // else (a parameter written since, or a training step that refilled the
+  // shared step memos and dropped the stamp) clears them all.
+  if (eval_version_ == ParameterVersion()) return;
   ClearStepCaches();
   eval_user_cache_.clear();
   eval_item_repr_.clear();
@@ -225,7 +250,10 @@ Tensor SceneRec::UserRepr(int64_t user, Rng* rng) {
   }
   // Eq. (1).
   Tensor repr = user_agg_.Forward(UserAggSum(user, rng));
-  if (eval_mode) eval_user_cache_[static_cast<size_t>(user)] = repr;
+  if (eval_mode) {
+    StampEvalMemos();
+    eval_user_cache_[static_cast<size_t>(user)] = repr;
+  }
   return repr;
 }
 
@@ -252,6 +280,7 @@ Tensor SceneRec::GeneralItemRepr(int64_t item, StepCaches& caches,
 
 void SceneRec::EnsureEvalTables() {
   if (!item_state_.empty()) return;
+  StampEvalMemos();
   const int64_t d = config_.embedding_dim;
   const size_t cells = static_cast<size_t>(user_item_->num_items() * d);
   eval_item_repr_.resize(cells);
@@ -402,24 +431,31 @@ Tensor SceneRec::ShardLoss(std::span<const BprTriple> triples,
       Sub(GatherRows(scores, neg_idx), GatherRows(scores, pos_idx))));
 }
 
-bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
-  // Fill every eval memo in dependency order; within a stage each index
-  // writes only its own (pre-sized) cache slot, so stages parallelize over
-  // disjoint memory. NoGradGuard is thread-local and therefore instantiated
-  // inside each worker body.
+void SceneRec::WarmItemSide(ThreadPool& pool) {
+  // An export may arrive without OnEvalBegin; either way only memos current
+  // for the parameters survive, and complete stages below are skipped, so
+  // a model whose item side is already warm is only read. Within a stage
+  // each index writes only its own (pre-sized) memo slot, so stages
+  // parallelize over disjoint memory. NoGradGuard is thread-local and
+  // therefore instantiated inside each worker body.
+  OnEvalBegin();
+  StampEvalMemos();
   if (scene_ != nullptr) {
     const int64_t num_categories = scene_->num_categories();
-    if (step_caches_.scene_sum.empty()) {
-      step_caches_.scene_sum.resize(static_cast<size_t>(num_categories));
+    if (!AllFilled(step_caches_.scene_sum, num_categories)) {
+      if (step_caches_.scene_sum.empty()) {
+        step_caches_.scene_sum.resize(static_cast<size_t>(num_categories));
+      }
+      pool.ParallelFor(num_categories, /*grain=*/16,
+                       [this](int64_t begin, int64_t end) {
+                         NoGradGuard no_grad;
+                         for (int64_t c = begin; c < end; ++c) {
+                           SceneSum(c, step_caches_);
+                         }
+                       });
     }
-    pool.ParallelFor(num_categories, /*grain=*/16,
-                     [this](int64_t begin, int64_t end) {
-                       NoGradGuard no_grad;
-                       for (int64_t c = begin; c < end; ++c) {
-                         SceneSum(c, step_caches_);
-                       }
-                     });
-    if (config_.use_scene) {
+    if (config_.use_scene &&
+        !AllFilled(step_caches_.category_repr, num_categories)) {
       if (step_caches_.category_repr.empty()) {
         step_caches_.category_repr.resize(static_cast<size_t>(num_categories));
       }
@@ -460,6 +496,10 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
         std::vector<int64_t> items;
         for (int64_t lo = begin; lo < end; lo += kBlock) {
           const int64_t hi = std::min(lo + kBlock, end);
+          if (std::all_of(item_state_.begin() + lo, item_state_.begin() + hi,
+                          [](uint8_t s) { return s == kItemProjected; })) {
+            continue;
+          }
           items.resize(static_cast<size_t>(hi - lo));
           for (int64_t i = lo; i < hi; ++i) {
             items[static_cast<size_t>(i - lo)] = i;
@@ -476,29 +516,34 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
           }
         }
       });
+}
+
+bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
+  WarmItemSide(pool);
   // With a demand-paged cache attached the O(users) sweep is skipped
   // entirely — hot swap warm-up is O(items) and user reprs materialize on
   // first touch (docs/serving.md#warmup). Without one, precompute every
   // user so concurrent Score() calls are pure reads.
-  if (user_repr_cache_ == nullptr) {
-    const int64_t num_users = user_item_->num_users();
-    if (eval_user_cache_.empty()) {
-      eval_user_cache_.resize(static_cast<size_t>(num_users));
-    }
-    pool.ParallelFor(
-        num_users, /*grain=*/32, [this](int64_t begin, int64_t end) {
-          NoGradGuard no_grad;
-          std::vector<Tensor> sums;
-          sums.reserve(static_cast<size_t>(end - begin));
-          for (int64_t u = begin; u < end; ++u) {
-            sums.push_back(UserAggSum(u, nullptr));
-          }
-          Tensor rows = user_agg_.ForwardRows(StackRows(sums));
-          for (int64_t u = begin; u < end; ++u) {
-            eval_user_cache_[static_cast<size_t>(u)] = Row(rows, u - begin);
-          }
-        });
+  const int64_t num_users = user_item_->num_users();
+  if (user_repr_cache_ != nullptr || AllFilled(eval_user_cache_, num_users)) {
+    return true;
   }
+  if (eval_user_cache_.empty()) {
+    eval_user_cache_.resize(static_cast<size_t>(num_users));
+  }
+  pool.ParallelFor(
+      num_users, /*grain=*/32, [this](int64_t begin, int64_t end) {
+        NoGradGuard no_grad;
+        std::vector<Tensor> sums;
+        sums.reserve(static_cast<size_t>(end - begin));
+        for (int64_t u = begin; u < end; ++u) {
+          sums.push_back(UserAggSum(u, nullptr));
+        }
+        Tensor rows = user_agg_.ForwardRows(StackRows(sums));
+        for (int64_t u = begin; u < end; ++u) {
+          eval_user_cache_[static_cast<size_t>(u)] = Row(rows, u - begin);
+        }
+      });
   return true;
 }
 
@@ -542,18 +587,15 @@ std::span<const float> SceneRec::RatingHeadItemRow(int64_t item) {
 }
 
 RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
-  NoGradGuard no_grad;
+  // The export is the item warm-up: it fills the M and P that Score() and
+  // ScoreBlock read, so exporting never forks representations and a
+  // Publish that follows finds the item side done.
+  WarmItemSide(*DefaultThreadPool());
   RetrievalEmbeddings out;
   out.num_items = user_item_->num_items();
   out.dim = config_.embedding_dim;
   out.fidelity = RetrievalFidelity::kProxy;
-  out.owned_items.resize(static_cast<size_t>(out.num_items * out.dim));
-  // The M rows Score()/ScoreBlock read, so exporting doubles as a warm-up of
-  // M and never forks representations. P stays cold: the index needs none.
-  for (int64_t i = 0; i < out.num_items; ++i) {
-    const float* src = EvalItemRepr(i);
-    std::copy(src, src + out.dim, out.owned_items.data() + i * out.dim);
-  }
+  out.owned_items = eval_item_repr_;
   out.items = out.owned_items.data();
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,6 +60,12 @@ class SceneRec : public Recommender {
   std::string name() const override;
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
+
+  /// Keeps every eval memo (M, P, user reprs, eval scene sums and category
+  /// reprs) while ParameterVersion() still equals the version they were
+  /// filled under, and clears them all otherwise. Re-publishing or
+  /// re-evaluating a model whose parameters were not written therefore
+  /// costs nothing and writes nothing.
   void OnEvalBegin() override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
@@ -71,10 +78,12 @@ class SceneRec : public Recommender {
   Tensor BatchLossShard(std::span<const BprTriple> shard, int64_t shard_index,
                         Rng& rng) override;
 
-  /// Precomputes every eval memo in dependency stages (scene sums ->
-  /// category reprs -> item reprs and their rating-head projections -> user
-  /// reprs), each stage parallel over disjoint cache slots, then returns
+  /// Precomputes every eval memo: the item side (WarmItemSide), then the
+  /// user reprs, each stage parallel over disjoint cache slots, then returns
   /// true: Score() becomes a pure read plus the factorized rating head.
+  /// Work already complete is skipped, so on a model whose memos are all
+  /// current (an export or an earlier prepare filled them) it computes and
+  /// writes nothing.
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
   // -- Eval-mode scoring: the factorized eq. (14) head --------------------
@@ -116,8 +125,10 @@ class SceneRec : public Recommender {
   void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                            uint64_t version) override;
 
-  /// Exports the memoized eval representations (eqs. 1 and 13; the M
-  /// table, never P). The true score is the rating MLP over
+  /// Exports the memoized eval representations (eqs. 1 and 13). The item
+  /// export is the item warm-up: WarmItemSide on the default pool fills M
+  /// and P, and the export copies M out, so a Publish that follows finds
+  /// the item side done. The true score is the rating MLP over
   /// [user_repr, item_repr] — not an inner product — so the export is
   /// kProxy: index order only picks candidates and two-stage serving always
   /// reranks with exact ScoreBlock.
@@ -160,8 +171,21 @@ class SceneRec : public Recommender {
 
   /// Drops the per-step memos (scene sums, category representations). Called
   /// at the start of every training step; parameters change between steps so
-  /// memos would be stale.
+  /// memos would be stale. The step memos double as the eval scene-sum and
+  /// category memos, so the eval stamp is dropped too.
   void ClearStepCaches();
+
+  /// Stamps the eval memos with ParameterVersion() unless they already
+  /// carry a stamp: called before the first eval memo after a clear is
+  /// filled, on the calling thread.
+  void StampEvalMemos();
+
+  /// Eqs. (2)-(13) for the whole catalog plus P: the eval scene sums, the
+  /// eq. (7) category reprs, then M and P in blocks of 256 items, each
+  /// stage parallel on `pool`. A stage whose memos are all filled, or a
+  /// block whose items are all projected, is skipped. Shared by
+  /// ExportItemEmbeddings and PrepareParallelScoring.
+  void WarmItemSide(ThreadPool& pool);
 
   /// The input of eq. (7)'s fusion layer: h_scene || h_cat (eqs. 3-6).
   /// Split out of CategoryRepr so batched callers can stack these rows and
@@ -271,6 +295,11 @@ class SceneRec : public Recommender {
   // W_u and W_i: the [d, d] column halves of the rating MLP's first weight.
   std::vector<float> rating_w_user_;
   std::vector<float> rating_w_item_;
+
+  // ParameterVersion() when the first eval memo after the last clear was
+  // filled; empty while no memo carries a stamp. Training steps drop it
+  // (ClearStepCaches), since they refill the shared step memos.
+  std::optional<uint64_t> eval_version_;
 
   // Demand-paged user-representation store (see AttachUserReprCache).
   // While attached, eval_user_cache_ stays empty and every eval-mode

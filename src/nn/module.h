@@ -31,6 +31,16 @@ class Module {
     for (Tensor& t : Parameters()) t.ZeroGrad();
   }
 
+  /// Sum of every parameter's write_count(). Each count only grows, so the
+  /// sum is unchanged exactly when no parameter was written (optimizer
+  /// step, checkpoint load, snapshot bind, ...) in between: tables derived
+  /// from the parameters and stamped with this value are still current.
+  uint64_t ParameterVersion() const {
+    uint64_t version = 0;
+    for (const Tensor& t : Parameters()) version += t.write_count();
+    return version;
+  }
+
   /// Total number of trainable scalars.
   int64_t NumParameters() const {
     int64_t n = 0;

@@ -28,11 +28,12 @@ constexpr int64_t kScanTile = 1024;
 constexpr int64_t kFanOutGrainTiles = 2;
 
 /// The exact sweep's pool: HardwareConcurrency() - 1 lanes, the calling
-/// thread being one of them, so one core stays free for the thread that
-/// opens, indexes and publishes the next snapshot. Built on first use and
-/// never resized or destroyed, so every MultiSearch in the process (the
-/// daemon's admission thread, benchmarks, tests) sweeps with the same
-/// lanes. On a 1-CPU host it has no workers and every sweep runs inline.
+/// thread being one of them. A publish warms the next model on the default
+/// pool's lanes, which share the cores with these while it runs
+/// (docs/parallelism.md). Built on first use and never resized or
+/// destroyed, so every MultiSearch in the process (the daemon's admission
+/// thread, benchmarks, tests) sweeps with the same lanes. On a 1-CPU host
+/// it has no workers and every sweep runs inline.
 ThreadPool& SweepPool() {
   static ThreadPool* const pool = new ThreadPool(
       std::max<int64_t>(1, ThreadPool::HardwareConcurrency() - 1));

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "retrieval/two_stage.h"
 #include "serve/observe.h"
@@ -110,15 +111,17 @@ void Server::Publish(std::shared_ptr<Recommender> model,
     }
     // Read-side preparation happens BEFORE the swap, outside the state
     // mutex: in-flight batches keep scoring the old version while the new
-    // one warms its eval caches — the full catalog in full warm-up mode,
-    // only the item side in lazy mode — so the first request on the new
-    // version pays no lazy-init cost.
+    // one warms its eval caches on the default pool's lanes — the full
+    // catalog in full warm-up mode, only the item side in lazy mode, and
+    // nothing that an index export or an earlier publish of the unwritten
+    // model already filled — so the first request on the new version pays
+    // no lazy-init cost.
     SCENEREC_TRACE_SPAN_F("serve/publish_warmup", "serve", trace::Floor::kNone,
                           "version=%llu lazy=%d",
                           static_cast<unsigned long long>(version),
                           lazy ? 1 : 0);
     model->OnEvalBegin();
-    model->PrepareParallelScoring(prep_pool_);
+    model->PrepareParallelScoring(*DefaultThreadPool());
   }
   SCENEREC_TRACE_SPAN("serve/model_swap", "serve", trace::Floor::kNone);
   {

@@ -12,7 +12,6 @@
 
 #include "common/mpmc_queue.h"
 #include "common/repr_cache.h"
-#include "common/thread_pool.h"
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
 #include "models/recommender.h"
@@ -93,8 +92,9 @@ struct ServerConfig {
 /// happened to share a batch.
 ///
 /// Hot swap: Publish() prepares the read side of the incoming model
-/// (OnEvalBegin + PrepareParallelScoring), then swaps model and index as
-/// one unit under the state mutex. Each batch acquires the state once, so
+/// (OnEvalBegin + PrepareParallelScoring on the process's default pool;
+/// work an index export already did is skipped), then swaps model and index
+/// as one unit under the state mutex. Each batch acquires the state once, so
 /// a batch never mixes two versions and never pairs a model with another
 /// version's index. Retirement is drain-based: the old model (and, for a
 /// snapshot-bound model, its file mapping) dies with the last batch still
@@ -210,9 +210,6 @@ class Server {
 
   const ServerConfig config_;
   const UserItemGraph& train_graph_;
-
-  /// Read-side preparation pool for Publish (PrepareParallelScoring).
-  ThreadPool prep_pool_{1};
 
   /// Model and index swap as one unit under state_mu_ so a reader can
   /// never pair a model with another version's index.

@@ -135,7 +135,13 @@ const FloatBuffer& Tensor::value() const {
 
 FloatBuffer& Tensor::mutable_value() {
   SCENEREC_CHECK(node_ != nullptr);
+  node_->writes.fetch_add(1, std::memory_order_relaxed);
   return node_->value;
+}
+
+uint64_t Tensor::write_count() const {
+  SCENEREC_CHECK(node_ != nullptr);
+  return node_->writes.load(std::memory_order_relaxed);
 }
 
 void Tensor::BindExternal(FloatBuffer buffer) {
@@ -143,6 +149,7 @@ void Tensor::BindExternal(FloatBuffer buffer) {
   SCENEREC_CHECK(node_->inputs.empty())
       << "BindExternal on a non-leaf tensor (op result)";
   SCENEREC_CHECK_EQ(static_cast<int64_t>(buffer.size()), num_elements());
+  node_->writes.fetch_add(1, std::memory_order_relaxed);
   node_->value = std::move(buffer);
   node_->requires_grad = false;
   node_->grad = FloatBuffer();

@@ -1,6 +1,7 @@
 #ifndef SCENEREC_TENSOR_TENSOR_H_
 #define SCENEREC_TENSOR_TENSOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,6 +48,13 @@ struct TensorNode {
   /// ...); null for leaves. Used by tracing to attribute backward execution
   /// per op type (the forward side is attributed by the op's own span).
   const char* op_name = nullptr;
+
+  /// Number of times the value was handed out for writing or rebound
+  /// (Tensor::mutable_value, Tensor::BindExternal). It only grows, so a
+  /// derived table stamped with it is current exactly while it is unchanged
+  /// (Module::ParameterVersion). Relaxed: it orders no data, since values
+  /// are never written concurrently with the eval reads it stamps.
+  std::atomic<uint64_t> writes{0};
 
   /// For sparse parameters (embedding tables): rows whose gradient may be
   /// non-zero since the last ZeroGrad. Lets optimizers do lazy row updates
@@ -133,9 +141,15 @@ class Tensor {
   bool requires_grad() const;
 
   /// Forward value, row-major. FloatBuffer converts to std::vector<float>
-  /// when a heap copy is wanted (snapshots).
+  /// when a heap copy is wanted (snapshots). mutable_value() counts as a
+  /// write (write_count) whether or not the caller then changes a value, so
+  /// take it immediately before writing.
   const FloatBuffer& value() const;
   FloatBuffer& mutable_value();
+
+  /// How many times mutable_value() or BindExternal() was called on this
+  /// tensor. Monotonic; reading the value never moves it.
+  uint64_t write_count() const;
 
   /// True if the value views external read-only memory (a bound snapshot
   /// page). Borrowed tensors cannot be written or grown gradients.

@@ -5,16 +5,22 @@
 // under TSan (the parallel block sweep) and ASan+UBSan (span/buffer
 // arithmetic) via tools/check.sh.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/repr_cache.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -23,6 +29,8 @@
 #include "graph/bipartite_graph.h"
 #include "models/factory.h"
 #include "models/scene_rec.h"
+#include "nn/optimizer.h"
+#include "nn/snapshot.h"
 #include "tensor/tensor.h"
 #include "tests/test_util.h"
 #include "train/trainer.h"
@@ -239,11 +247,17 @@ TEST_F(ScoringTest, PreparedRatingHeadTableEqualsLazyFill) {
       const std::span<const float> row = scene_rec->RatingHeadItemRow(item);
       lazy[static_cast<size_t>(item)].assign(row.begin(), row.end());
     }
-    model->OnEvalBegin();
+    // OnEvalBegin keeps the lazy table of an unwritten model, so the
+    // prepared side is a second, identically built model.
+    std::unique_ptr<Recommender> prepared = Make(name);
+    ASSERT_NE(prepared, nullptr);
+    auto* prepared_rec = dynamic_cast<SceneRec*>(prepared.get());
+    ASSERT_NE(prepared_rec, nullptr);
+    prepared->OnEvalBegin();
     ThreadPool pool(4);
-    ASSERT_TRUE(model->PrepareParallelScoring(pool));
+    ASSERT_TRUE(prepared->PrepareParallelScoring(pool));
     for (int64_t item = 0; item < num_items; ++item) {
-      const std::span<const float> row = scene_rec->RatingHeadItemRow(item);
+      const std::span<const float> row = prepared_rec->RatingHeadItemRow(item);
       const std::vector<float>& want = lazy[static_cast<size_t>(item)];
       ASSERT_EQ(row.size(), want.size());
       for (size_t j = 0; j < row.size(); ++j) {
@@ -251,6 +265,155 @@ TEST_F(ScoringTest, PreparedRatingHeadTableEqualsLazyFill) {
       }
     }
   }
+}
+
+/// Every eval table of a SceneRec, read through its public paths: M (the
+/// export), P, the user reprs and the full-catalog scores of three users.
+struct EvalTables {
+  std::vector<float> m, p, users, scores;
+};
+
+EvalTables ReadEvalTables(SceneRec& model, int64_t num_users,
+                          const std::vector<int64_t>& items) {
+  EvalTables t;
+  const RetrievalEmbeddings m = model.ExportItemEmbeddings();
+  t.m.assign(m.items, m.items + m.num_items * m.dim);
+  for (const int64_t item : items) {
+    const std::span<const float> row = model.RatingHeadItemRow(item);
+    t.p.insert(t.p.end(), row.begin(), row.end());
+  }
+  std::vector<float> query(static_cast<size_t>(model.RetrievalDim()));
+  for (int64_t u = 0; u < num_users; ++u) {
+    model.WriteRetrievalQuery(u, query);
+    t.users.insert(t.users.end(), query.begin(), query.end());
+  }
+  std::vector<float> block(items.size());
+  for (const int64_t user : {int64_t{0}, int64_t{7}, num_users - 1}) {
+    model.ScoreBlock(user, items, block);
+    t.scores.insert(t.scores.end(), block.begin(), block.end());
+  }
+  return t;
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& got,
+                        const std::vector<float>& want, const char* table) {
+  ASSERT_EQ(got.size(), want.size()) << table;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << table << " cell " << i;
+  }
+}
+
+void ExpectSameTables(const EvalTables& got, const EvalTables& want) {
+  ExpectBitwiseEqual(got.m, want.m, "M");
+  ExpectBitwiseEqual(got.p, want.p, "P");
+  ExpectBitwiseEqual(got.users, want.users, "user reprs");
+  ExpectBitwiseEqual(got.scores, want.scores, "scores");
+}
+
+uint64_t KernelFlops() {
+  return telemetry::Telemetry::Snapshot().CounterValue("kernels/flops");
+}
+
+// OnEvalBegin keeps the eval tables of a model whose parameters were not
+// written (the re-publish of a live model computes nothing), and after any
+// kind of parameter write it recomputes them: every M and P row, user repr
+// and score is then bitwise that of a freshly built model holding the same
+// parameters.
+TEST_F(ScoringTest, OnEvalBeginKeepsTablesUntilAParameterIsWritten) {
+  const std::vector<int64_t> items = AllItems();
+  const int64_t num_users = dataset_.num_users;
+  const std::string snapshot_path = ::testing::TempDir() +
+                                    "scoring_test_stamp_" +
+                                    std::to_string(getpid()) + ".srsnap";
+  ThreadPool pool(4);
+  telemetry::Telemetry::SetEnabled(true);
+  for (const char* name : kSceneRecVariants) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
+    ASSERT_NE(model, nullptr);
+    auto* scene_rec = dynamic_cast<SceneRec*>(model.get());
+    ASSERT_NE(scene_rec, nullptr);
+
+    // Built the way a fresh model would be, then given `model`'s values.
+    const auto fresh_tables = [&] {
+      std::unique_ptr<Recommender> fresh = Make(name);
+      std::vector<Tensor> src = model->Parameters();
+      std::vector<Tensor> dst = fresh->Parameters();
+      for (size_t i = 0; i < src.size(); ++i) {
+        dst[i].mutable_value() = src[i].value();
+      }
+      fresh->OnEvalBegin();
+      EXPECT_TRUE(fresh->PrepareParallelScoring(pool));
+      return ReadEvalTables(*dynamic_cast<SceneRec*>(fresh.get()), num_users,
+                            items);
+    };
+    const auto written_then_prepared = [&] {
+      model->OnEvalBegin();
+      EXPECT_TRUE(model->PrepareParallelScoring(pool));
+      return ReadEvalTables(*scene_rec, num_users, items);
+    };
+
+    // A user memo filled first, then a parameter write, then an export: the
+    // stale user row must not survive.
+    std::vector<float> stale(static_cast<size_t>(model->RetrievalDim()));
+    model->WriteRetrievalQuery(3, stale);
+    for (Tensor& p : model->Parameters()) p.mutable_value()[0] += 0.25f;
+    model->ExportItemEmbeddings();
+    std::vector<float> query(stale.size());
+    model->WriteRetrievalQuery(3, query);
+    EXPECT_NE(query, stale);
+    ExpectSameTables(written_then_prepared(), fresh_tables());
+
+    // A direct value write, then the two-stage publish sequence: an export
+    // (which recomputes) and a lazy-mode prepare, which then finds the item
+    // side done and runs no user sweep, so it computes nothing.
+    model->Parameters().back().mutable_value()[0] -= 0.5f;
+    model->AttachUserReprCache(
+        std::make_shared<ReprCache>(ReprCache::Options{
+            .capacity = num_users, .dim = model->UserReprDim()}),
+        /*version=*/1);
+    uint64_t before = KernelFlops();
+    model->ExportItemEmbeddings();
+    EXPECT_GT(KernelFlops(), before);
+    before = KernelFlops();
+    model->OnEvalBegin();
+    ASSERT_TRUE(model->PrepareParallelScoring(pool));
+    EXPECT_EQ(KernelFlops(), before);
+    model->AttachUserReprCache(nullptr, 0);
+    ExpectSameTables(written_then_prepared(), fresh_tables());
+
+    // Full warm-up: once prepared, preparing again computes nothing.
+    before = KernelFlops();
+    model->OnEvalBegin();
+    ASSERT_TRUE(model->PrepareParallelScoring(pool));
+    EXPECT_EQ(KernelFlops(), before);
+
+    // An optimizer step (sharded loss, which leaves the eval memos alone).
+    {
+      SgdOptimizer sgd(model->Parameters(),
+                       OptimizerOptions{.learning_rate = 0.5f});
+      model->PrepareShards(1);
+      Rng rng(5);
+      const std::vector<BprTriple> triples = {{0, 1, 2}, {7, 3, 4}};
+      Backward(model->BatchLossShard(triples, 0, rng));
+      sgd.Step();
+      sgd.ZeroGrad();
+    }
+    ExpectSameTables(written_then_prepared(), fresh_tables());
+
+    // A snapshot bind (of another model's parameters).
+    {
+      std::unique_ptr<Recommender> other = Make(name);
+      for (Tensor& p : other->Parameters()) p.mutable_value()[0] *= -1.0f;
+      ASSERT_TRUE(WriteSnapshot(*other, name, 1, snapshot_path).ok());
+      auto snapshot = Snapshot::Open(snapshot_path);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      ASSERT_TRUE(BindSnapshot(*model, snapshot.value()).ok());
+    }
+    ExpectSameTables(written_then_prepared(), fresh_tables());
+  }
+  telemetry::Telemetry::SetEnabled(false);
+  std::remove(snapshot_path.c_str());
 }
 
 // On a trained mini-model, swapping the concat head for the factorized one

@@ -401,6 +401,57 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   std::remove(path.c_str());
 }
 
+// Publishing a model that a server already serves must not disturb it:
+// its parameters were not written, so the publish finds every eval table
+// current and neither clears nor rewrites one under the live readers.
+// Server 1 serves model A to 4 clients; mid-traffic the same object is
+// published to a second server and re-published to server 1. Every answer
+// from either server is bitwise the library's.
+TEST_F(ServeTest, PublishingAServedModelAgainKeepsItsAnswers) {
+  std::shared_ptr<Recommender> model_a = MakeModel("SceneRec", 61);
+  ASSERT_NE(model_a, nullptr);
+  const auto expected = FullCatalogExpected(*model_a);
+  serve::Server server1(Config(/*max_batch=*/4, 0), graph_);
+  serve::Server server2(Config(/*max_batch=*/4, 0), graph_);
+  server1.Publish(model_a);
+  server1.Start();
+
+  std::atomic<int64_t> next{0};
+  std::atomic<bool> published{false};
+  const int64_t total = dataset_.num_users * 10;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      std::vector<Recommendation> got;
+      for (;;) {
+        const int64_t seq = next.fetch_add(1);
+        if (seq >= total) break;
+        // The second half of the traffic runs after both publishes.
+        while (seq >= total / 2 && !published.load()) {
+          std::this_thread::yield();
+        }
+        const int64_t user = seq % dataset_.num_users;
+        ASSERT_TRUE(server1.TopN(user, &got));
+        ExpectSameList(got, expected[static_cast<size_t>(user)]);
+      }
+    });
+  }
+  std::thread publisher([&] {
+    while (next.load() < total / 4) std::this_thread::yield();
+    server2.Publish(model_a);
+    server2.Start();
+    server1.Publish(model_a);
+    published.store(true);
+  });
+  publisher.join();
+  for (std::thread& t : clients) t.join();
+  Drive(server2, /*threads=*/2, /*rounds=*/2, expected);
+  server1.Stop();
+  server2.Stop();
+  EXPECT_EQ(server1.stats().publishes, 2u);
+  EXPECT_EQ(server2.stats().publishes, 1u);
+}
+
 // Retrieval-mode swap: model and index swap as ONE unit. Pairing model B
 // with index A (or vice versa) would produce lists matching neither
 // library path; every result must be pure A or pure B here too.

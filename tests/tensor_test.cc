@@ -1,3 +1,6 @@
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
@@ -94,6 +97,27 @@ TEST(TensorTest, HandleSharesStorage) {
   Tensor b = a;  // alias
   b.mutable_value()[0] = 7.0f;
   EXPECT_FLOAT_EQ(a.at(0), 7.0f);
+}
+
+// The parameter-write stamp behind Module::ParameterVersion: handing the
+// value out for writing or rebinding the storage counts as a write, reading
+// never does, and every handle of a node shares its count.
+TEST(TensorTest, WriteCountMovesOnMutableValueAndBindExternalOnly) {
+  Tensor t = Tensor::FromVector(Shape({2}), {1.0f, 2.0f});
+  EXPECT_EQ(t.write_count(), 0u);
+  EXPECT_FLOAT_EQ(t.value()[1], 2.0f);
+  EXPECT_FLOAT_EQ(t.at(0), 1.0f);
+  EXPECT_EQ(t.write_count(), 0u);
+  t.mutable_value()[0] = 3.0f;
+  EXPECT_EQ(t.write_count(), 1u);
+  Tensor alias = t;
+  auto storage = std::make_shared<std::vector<float>>(
+      std::vector<float>{5.0f, 6.0f});
+  alias.BindExternal(
+      FloatBuffer::Borrowed(storage->data(), storage->size(), storage));
+  EXPECT_EQ(t.write_count(), 2u);
+  EXPECT_FLOAT_EQ(t.at(1), 6.0f);
+  EXPECT_EQ(t.write_count(), 2u);
 }
 
 // -- Backward mechanics ----------------------------------------------------------

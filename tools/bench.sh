@@ -29,7 +29,9 @@
 # BENCH_cache.json is
 # the demand-paged user-representation cache suite (the BM_Cache rows of
 # bench_serve, docs/serving.md#warmup) on a users>>items world: full vs
-# lazy warm-up swap-to-first-response (acceptance: lazy >= 5x faster) and
+# lazy warm-up swap-to-first-response, each publish opening a fresh model
+# from a snapshot (acceptance: lazy >= 5x faster; 5.1x in the committed
+# 4-vCPU recording, where both warm-ups run on every core) and
 # closed-loop Zipf steady-state QPS (acceptance: lazy within 5% of full,
 # with hit_rate_pct / resident_mb counters on the lazy row).
 # BENCH_observe.json is
@@ -37,6 +39,11 @@
 # latency plus closed-loop daemon QPS with and without a 5 Hz background
 # scraper — the BM_ObserveDaemonScraped row's scrape_overhead_pct counter
 # is the QPS given up to scraping, budget <1%.
+#
+# Every file's context records build_type, the CMAKE_BUILD_TYPE of build/
+# (Google Benchmark's own library_build_type describes the benchmark
+# library, not this repo), so tools/bench_diff --check can refuse to compare
+# a Debug recording with a Release one.
 #
 # Usage: tools/bench.sh [benchmark_filter_regex]
 # A filter (e.g. 'MatVec|Gemm') restricts the first three suites; the JSON
@@ -49,58 +56,62 @@ FILTER="${1:-.}"
 cmake -B build >/dev/null
 cmake --build build --target bench_kernels bench_parallel bench_scoring bench_snapshot bench_retrieval bench_serve bench_observe
 
+# An empty cache entry means the top-level CMakeLists.txt default, Release.
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+CONTEXT="--benchmark_context=build_type=${BUILD_TYPE:-Release}"
+
 echo "==> bench_kernels -> BENCH_kernels.json"
 build/bench/bench_kernels \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_kernels.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_kernels.json
 
 echo "==> bench_parallel -> BENCH_parallel.json"
 build/bench/bench_parallel \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_parallel.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_parallel.json
 
 echo "==> bench_scoring -> BENCH_scoring.json"
 build/bench/bench_scoring \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_scoring.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_scoring.json
 
 echo "==> bench_snapshot -> BENCH_snapshot.json"
 build/bench/bench_snapshot \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_snapshot.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_snapshot.json
 
 echo "==> bench_retrieval -> BENCH_retrieval.json"
 build/bench/bench_retrieval \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_retrieval.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_retrieval.json
 
 # bench_serve hosts two disjoint suites; fixed filters keep each JSON's row
 # set stable so bench_diff baselines stay comparable across runs.
 echo "==> bench_serve (BM_Serve) -> BENCH_serve.json"
 build/bench/bench_serve \
   --benchmark_filter='BM_Serve' \
-  --benchmark_format=json >BENCH_serve.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_serve.json
 
 echo "==> bench_serve (BM_Cache) -> BENCH_cache.json"
 build/bench/bench_serve \
   --benchmark_filter='BM_Cache' \
-  --benchmark_format=json >BENCH_cache.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_cache.json
 
 echo "==> bench_observe -> BENCH_observe.json"
 build/bench/bench_observe \
   --benchmark_filter="${FILTER}" \
-  --benchmark_format=json >BENCH_observe.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_observe.json
 
 echo "==> bench_parallel telemetry on/off -> BENCH_telemetry.json"
 build/bench/bench_parallel \
   --benchmark_filter='BM_TrainEpochTelemetry' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-  --benchmark_format=json >BENCH_telemetry.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_telemetry.json
 
 echo "==> bench_parallel trace on/off -> BENCH_trace.json"
 build/bench/bench_parallel \
   --benchmark_filter='BM_TrainEpochTrace' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-  --benchmark_format=json >BENCH_trace.json
+  "${CONTEXT}" --benchmark_format=json >BENCH_trace.json
 
 echo "==> done"

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Selftest for tools/bench_diff: fabricates google-benchmark JSON pairs and
 asserts the gate's behavior — pass on stable numbers, nonzero exit on a
-synthetic regression or on differing num_cpus under --check, report-only
-without --check, and mean aggregates taking precedence over repetition
+synthetic regression or on differing num_cpus or build_type under --check,
+report-only without --check, an unrecorded build_type reported as unknown
+without failing, and mean aggregates taking precedence over repetition
 rows.
 
 Invoked by ctest as:
@@ -16,10 +17,11 @@ import sys
 import tempfile
 
 
-def write_bench_json(path, times, aggregates=None, num_cpus=1):
+def write_bench_json(path, times, aggregates=None, num_cpus=1,
+                     build_type=None):
     """times: {run_name: real_time_ns} plain rows; aggregates adds
-    {run_name: mean_ns} rows tagged aggregate_name="mean"; num_cpus goes
-    into the context."""
+    {run_name: mean_ns} rows tagged aggregate_name="mean"; num_cpus and,
+    unless None, build_type go into the context."""
     benchmarks = []
     for name, t in times.items():
         benchmarks.append({
@@ -38,9 +40,11 @@ def write_bench_json(path, times, aggregates=None, num_cpus=1):
             "cpu_time": t,
             "time_unit": "ns",
         })
+    context = {"num_cpus": num_cpus}
+    if build_type is not None:
+        context["build_type"] = build_type
     with open(path, "w") as f:
-        json.dump({"context": {"num_cpus": num_cpus},
-                   "benchmarks": benchmarks}, f)
+        json.dump({"context": context, "benchmarks": benchmarks}, f)
 
 
 def run(bench_diff_cmd, *args):
@@ -89,6 +93,31 @@ def main():
         code, out = run(bench_diff_cmd, baseline, other_host)
         check("differing num_cpus is report-only without --check",
               code == 0 and "num_cpus differs" in out, out)
+
+        # Build types: a Debug recording never gates a Release one, and a
+        # file that predates the field is reported as unknown, not failed.
+        release = os.path.join(tmp, "release.json")
+        release_too = os.path.join(tmp, "release_too.json")
+        debug = os.path.join(tmp, "debug.json")
+        same_times = {"BM_Fast": 100.0, "BM_Slow": 1000.0}
+        write_bench_json(release, same_times, build_type="Release")
+        write_bench_json(release_too, same_times, build_type="Release")
+        write_bench_json(debug, same_times, build_type="Debug")
+        code, out = run(bench_diff_cmd, "--check", release, release_too)
+        check("equal build types pass --check", code == 0, out)
+        check("both build types are printed",
+              "build_type: baseline Release, fresh Release" in out, out)
+        code, out = run(bench_diff_cmd, "--check", release, debug)
+        check("differing build_type fails --check", code != 0, out)
+        check("the failure names both build types",
+              "build_type differs: baseline Release, fresh Debug" in out, out)
+        code, out = run(bench_diff_cmd, release, debug)
+        check("differing build_type is report-only without --check",
+              code == 0 and "build_type differs" in out, out)
+        code, out = run(bench_diff_cmd, "--check", baseline, debug)
+        check("a missing build_type does not fail --check", code == 0, out)
+        check("a missing build_type is reported as unknown",
+              "build_type: baseline unknown, fresh Debug" in out, out)
 
         code, out = run(bench_diff_cmd, "--check", baseline, regressed)
         check("regressed run fails --check", code != 0, out)

@@ -166,22 +166,26 @@ if [ "${SCENEREC_PERF:-0}" != "0" ]; then
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   cmake --build build --target bench_kernels bench_parallel bench_scoring bench_snapshot bench_retrieval bench_serve bench_observe
-  build/bench/bench_kernels --benchmark_format=json >"$tmp/kernels.json"
-  build/bench/bench_parallel --benchmark_format=json >"$tmp/parallel.json"
-  build/bench/bench_scoring --benchmark_format=json >"$tmp/scoring.json"
-  build/bench/bench_snapshot --benchmark_format=json >"$tmp/snapshot.json"
-  build/bench/bench_retrieval --benchmark_format=json >"$tmp/retrieval.json"
-  build/bench/bench_serve --benchmark_filter='BM_Serve' --benchmark_format=json >"$tmp/serve.json"
-  build/bench/bench_serve --benchmark_filter='BM_Cache' --benchmark_format=json >"$tmp/cache.json"
-  build/bench/bench_observe --benchmark_format=json >"$tmp/observe.json"
+  # Recorded like tools/bench.sh does, so bench_diff refuses a comparison
+  # across build types.
+  BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+  CONTEXT="--benchmark_context=build_type=${BUILD_TYPE:-Release}"
+  build/bench/bench_kernels "${CONTEXT}" --benchmark_format=json >"$tmp/kernels.json"
+  build/bench/bench_parallel "${CONTEXT}" --benchmark_format=json >"$tmp/parallel.json"
+  build/bench/bench_scoring "${CONTEXT}" --benchmark_format=json >"$tmp/scoring.json"
+  build/bench/bench_snapshot "${CONTEXT}" --benchmark_format=json >"$tmp/snapshot.json"
+  build/bench/bench_retrieval "${CONTEXT}" --benchmark_format=json >"$tmp/retrieval.json"
+  build/bench/bench_serve --benchmark_filter='BM_Serve' "${CONTEXT}" --benchmark_format=json >"$tmp/serve.json"
+  build/bench/bench_serve --benchmark_filter='BM_Cache' "${CONTEXT}" --benchmark_format=json >"$tmp/cache.json"
+  build/bench/bench_observe "${CONTEXT}" --benchmark_format=json >"$tmp/observe.json"
   build/bench/bench_parallel \
     --benchmark_filter='BM_TrainEpochTelemetry' \
     --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-    --benchmark_format=json >"$tmp/telemetry.json"
+    "${CONTEXT}" --benchmark_format=json >"$tmp/telemetry.json"
   build/bench/bench_parallel \
     --benchmark_filter='BM_TrainEpochTrace' \
     --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-    --benchmark_format=json >"$tmp/trace.json"
+    "${CONTEXT}" --benchmark_format=json >"$tmp/trace.json"
   tools/bench_diff --check --threshold="$THRESHOLD" BENCH_kernels.json "$tmp/kernels.json"
   tools/bench_diff --check --threshold="$THRESHOLD" BENCH_parallel.json "$tmp/parallel.json"
   tools/bench_diff --check --threshold="$THRESHOLD" BENCH_scoring.json "$tmp/scoring.json"
