@@ -5,9 +5,7 @@
 //
 //   BM_TopNFullCatalogBlock   exact ScoreBlock sweep of all 50k items
 //   BM_TopNTwoStageExact      blocked exact top-K index + exact rerank
-//   BM_TopNTwoStageExactSq8   int8 full scan + float rescore + rerank
 //   BM_TopNTwoStageIvf        IVF candidate generation + exact rerank
-//   BM_TopNTwoStageIvfSq8     IVF over int8 codes + float rescore + rerank
 //   BM_IndexBuild*            one-time index construction cost
 //
 // The IVF rows carry a recall_at_100 counter (vs the exact backend, nlist
@@ -45,12 +43,8 @@ struct BenchData {
   std::unique_ptr<BprMf> model;
   UserItemGraph graph;
   std::unique_ptr<ItemIndex> exact;
-  std::unique_ptr<ItemIndex> exact_sq8;
   std::unique_ptr<ItemIndex> ivf;
-  std::unique_ptr<ItemIndex> ivf_sq8;
-  double exact_sq8_recall = 0.0;
   double ivf_recall = 0.0;
-  double ivf_sq8_recall = 0.0;
 };
 
 IndexBuildConfig ConfigFor(IndexKind kind) {
@@ -113,22 +107,14 @@ const BenchData& Data() {
     d->graph = UserItemGraph::Build(kNumUsers, kNumItems, interactions);
     d->exact = IndexBuilder(ConfigFor(IndexKind::kExact))
                    .Build(*d->model).value();
-    d->exact_sq8 = IndexBuilder(ConfigFor(IndexKind::kExactSq8))
-                       .Build(*d->model).value();
     d->ivf = IndexBuilder(ConfigFor(IndexKind::kIvf))
                  .Build(*d->model).value();
-    d->ivf_sq8 = IndexBuilder(ConfigFor(IndexKind::kIvfSq8))
-                     .Build(*d->model).value();
-    // Per-backend recall@100 vs exact over a user sample — reported as the
-    // recall_at_100 counter on each two-stage row.
+    // IVF recall@100 vs exact over a user sample — reported as the
+    // recall_at_100 counter on its two-stage row.
     std::vector<int64_t> sample;
     for (int64_t u = 0; u < kNumUsers; u += 10) sample.push_back(u);
-    auto recall = [&](const ItemIndex& index) {
-      return RetrievalRecallAtK(*d->model, index, *d->exact, 100, sample);
-    };
-    d->exact_sq8_recall = recall(*d->exact_sq8);
-    d->ivf_recall = recall(*d->ivf);
-    d->ivf_sq8_recall = recall(*d->ivf_sq8);
+    d->ivf_recall =
+        RetrievalRecallAtK(*d->model, *d->ivf, *d->exact, 100, sample);
     return d;
   }();
   return *data;
@@ -169,20 +155,10 @@ void BM_TopNTwoStageExact(benchmark::State& state) {
 }
 BENCHMARK(BM_TopNTwoStageExact)->Unit(benchmark::kMicrosecond);
 
-void BM_TopNTwoStageExactSq8(benchmark::State& state) {
-  RunTwoStage(state, *Data().exact_sq8, Data().exact_sq8_recall);
-}
-BENCHMARK(BM_TopNTwoStageExactSq8)->Unit(benchmark::kMicrosecond);
-
 void BM_TopNTwoStageIvf(benchmark::State& state) {
   RunTwoStage(state, *Data().ivf, Data().ivf_recall);
 }
 BENCHMARK(BM_TopNTwoStageIvf)->Unit(benchmark::kMicrosecond);
-
-void BM_TopNTwoStageIvfSq8(benchmark::State& state) {
-  RunTwoStage(state, *Data().ivf_sq8, Data().ivf_sq8_recall);
-}
-BENCHMARK(BM_TopNTwoStageIvfSq8)->Unit(benchmark::kMicrosecond);
 
 // -- Index construction --------------------------------------------------------
 
@@ -206,11 +182,6 @@ void BM_IndexBuildIvf(benchmark::State& state) {
   RunBuild(state, IndexKind::kIvf);
 }
 BENCHMARK(BM_IndexBuildIvf)->Unit(benchmark::kMillisecond);
-
-void BM_IndexBuildIvfSq8(benchmark::State& state) {
-  RunBuild(state, IndexKind::kIvfSq8);
-}
-BENCHMARK(BM_IndexBuildIvfSq8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace scenerec

@@ -3,17 +3,13 @@
 //
 //   BM_SnapshotWrite        crash-safe versioned write (tmp + fsync +
 //                           rename); bytes/second is the publish throughput
-//   BM_CheckpointLoadCopy   the copying load path: construct the model
-//                           (full RNG init) + LoadCheckpoint (read every
-//                           byte into trainable storage) + first score
-//   BM_SnapshotMmapOpen     the zero-copy path: OpenRecommenderFromSnapshot
-//                           (deferred construction + one mmap + manifest
-//                           validation) + first score
+//   BM_SnapshotMmapOpen     cold process to first score through
+//                           OpenRecommenderFromSnapshot (deferred
+//                           construction + one mmap + manifest validation)
 //
-// Compare the last two — both are "cold process to first score"; the mmap
-// path's independence from table bytes is the point of the store. Recorded
-// in BENCH_snapshot.json by tools/bench.sh and gated by tools/bench_diff
-// via tools/check.sh stage 4.
+// The open's independence from table bytes is the point of the store.
+// Recorded in BENCH_snapshot.json by tools/bench.sh and gated by
+// tools/bench_diff via tools/check.sh stage 4.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +22,6 @@
 #include "graph/bipartite_graph.h"
 #include "models/bpr_mf.h"
 #include "models/factory.h"
-#include "nn/serialization.h"
 #include "nn/snapshot.h"
 
 namespace scenerec {
@@ -72,19 +67,6 @@ void BM_SnapshotWrite(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * data.param_bytes);
 }
 BENCHMARK(BM_SnapshotWrite)->Unit(benchmark::kMillisecond);
-
-void BM_CheckpointLoadCopy(benchmark::State& state) {
-  const BenchData& data = Data();
-  for (auto _ : state) {
-    Rng rng(99);
-    BprMf model(kUsers, kItems, kDim, rng);
-    const Status s = LoadCheckpoint(model, "BPR-MF", data.snapshot_path);
-    SCENEREC_CHECK(s.ok()) << s.ToString();
-    benchmark::DoNotOptimize(model.Score(0, 0));
-  }
-  state.SetBytesProcessed(state.iterations() * data.param_bytes);
-}
-BENCHMARK(BM_CheckpointLoadCopy)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotMmapOpen(benchmark::State& state) {
   const BenchData& data = Data();

@@ -40,7 +40,7 @@ int Run(int argc, char** argv) {
   flags.AddInt64("seed", 42, "RNG seed");
   flags.AddString("retrieval", "",
                   "also report two-stage retrieval recall@100 vs the exact "
-                  "backend: exact | exact_sq8 | ivf | ivf_sq8");
+                  "backend: exact | ivf");
   flags.AddInt64("nprobe", 8, "IVF lists probed per query");
   flags.AddInt64("nlist", 0, "IVF list count; 0 = sqrt(num_items)");
   flags.AddBool("verbose", false, "per-epoch logging");

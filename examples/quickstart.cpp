@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "common/flags.h"
 #include "common/logging.h"
@@ -16,7 +17,7 @@
 #include "data/synthetic.h"
 #include "graph/stats.h"
 #include "models/scene_rec.h"
-#include "nn/serialization.h"
+#include "nn/snapshot.h"
 #include "train/trainer.h"
 
 namespace {
@@ -98,17 +99,24 @@ int Run(int argc, char** argv) {
   std::printf("Test:       NDCG@10 %.4f  HR@10 %.4f\n\n", result.test.ndcg,
               result.test.hr);
 
-  // 5. Checkpoint the trained model and prove a fresh instance restores it.
+  // 5. Checkpoint the trained model as an SRSNAP1 snapshot and prove a
+  //    fresh instance bound to it (zero-copy) scores the same.
   const std::string checkpoint = "/tmp/scenerec_quickstart.ckpt";
-  if (Status s = SaveCheckpoint(model, model.name(), checkpoint); !s.ok()) {
+  if (Status s = WriteSnapshot(model, model.name(), /*version=*/0, checkpoint);
+      !s.ok()) {
     std::cerr << s.ToString() << "\n";
     return 1;
   }
   {
     Rng fresh_rng(seed + 100);
     SceneRec restored(&train_graph, &scene_graph, model_config, fresh_rng);
-    if (Status s = LoadCheckpoint(restored, model.name(), checkpoint);
-        !s.ok()) {
+    StatusOr<std::shared_ptr<const Snapshot>> snapshot =
+        Snapshot::Open(checkpoint);
+    if (!snapshot.ok()) {
+      std::cerr << snapshot.status().ToString() << "\n";
+      return 1;
+    }
+    if (Status s = BindSnapshot(restored, snapshot.value()); !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }

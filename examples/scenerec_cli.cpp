@@ -2,10 +2,11 @@
 // lifecycle with persistent checkpoints.
 //
 //   train      generate (or load) a dataset, train a model, save a
-//              checkpoint and report test metrics
-//   evaluate   reload a checkpoint and re-run the ranking evaluation
-//              (sampled and full protocols)
-//   recommend  reload a checkpoint and print top-N items for a user
+//              checkpoint (an SRSNAP1 snapshot, nn/snapshot.h) and report
+//              test metrics
+//   evaluate   bind a checkpoint zero-copy and re-run the ranking
+//              evaluation (sampled and full protocols)
+//   recommend  bind a checkpoint zero-copy and print top-N items for a user
 //
 // The dataset and split are reproducible from (--dataset|--data_dir,
 // --scale, --data_seed), so separate invocations see identical graphs —
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -32,7 +34,7 @@
 #include "eval/top_n.h"
 #include "models/factory.h"
 #include "models/scene_rec.h"
-#include "nn/serialization.h"
+#include "nn/snapshot.h"
 #include "retrieval/index_builder.h"
 #include "retrieval/two_stage.h"
 #include "train/trainer.h"
@@ -60,6 +62,25 @@ StatusOr<std::unique_ptr<ItemIndex>> BuildRetrievalIndex(
   config.nlist = flags.GetInt64("nlist");
   config.nprobe = flags.GetInt64("nprobe");
   return IndexBuilder(config).Build(model);
+}
+
+/// Binds the checkpoint at `path` zero-copy into `model`, the model built
+/// from --model. A checkpoint written for another model is refused.
+Status BindCheckpoint(const std::string& path, Recommender& model) {
+  SCENEREC_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
+                            Snapshot::Open(path));
+  if (snapshot->tag() != model.name()) {
+    return Status::FailedPrecondition("checkpoint " + path + " holds a " +
+                                      snapshot->tag() +
+                                      " model, but --model is " +
+                                      model.name());
+  }
+  SCENEREC_RETURN_IF_ERROR(BindSnapshot(model, snapshot));
+  // State derived from the constructor's parameters (KGAT's attention
+  // coefficients) is recomputed from the bound ones, as
+  // OpenRecommenderFromSnapshot does.
+  model.OnEpochBegin();
+  return Status::OK();
 }
 
 /// Fills `context` in place. In-place construction matters: the model holds
@@ -139,7 +160,8 @@ int Train(const FlagParser& flags, CliContext& context) {
               result->train_seconds);
   const std::string ckpt = flags.GetString("ckpt");
   if (!ckpt.empty()) {
-    if (Status s = SaveCheckpoint(*context.model, context.model->name(), ckpt);
+    if (Status s = WriteSnapshot(*context.model, context.model->name(),
+                                 /*version=*/0, ckpt);
         !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
@@ -268,8 +290,8 @@ int Run(int argc, char** argv) {
   flags.AddInt64("user", 0, "user id (recommend)");
   flags.AddInt64("top_n", 10, "recommendations to print (recommend)");
   flags.AddString("retrieval", "",
-                  "two-stage ANN backend: exact | exact_sq8 | ivf | ivf_sq8; "
-                  "empty = full-catalog scoring (recommend/evaluate)");
+                  "two-stage ANN backend: exact | ivf; empty = full-catalog "
+                  "scoring (recommend/evaluate)");
   flags.AddInt64("candidates", 200,
                  "candidates retrieved before exact rerank (recommend)");
   flags.AddInt64("nprobe", 8, "IVF lists probed per query");
@@ -315,15 +337,13 @@ int Run(int argc, char** argv) {
   if (command == "train") {
     code = Train(flags, context);
   } else if (command == "evaluate" || command == "recommend") {
-    // evaluate / recommend restore the checkpoint first.
+    // evaluate / recommend bind the checkpoint first.
     const std::string ckpt = flags.GetString("ckpt");
     if (ckpt.empty()) {
       std::cerr << command << " requires --ckpt\n";
       return 1;
     }
-    if (Status s =
-            LoadCheckpoint(*context.model, context.model->name(), ckpt);
-        !s.ok()) {
+    if (Status s = BindCheckpoint(ckpt, *context.model); !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }

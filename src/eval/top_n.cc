@@ -26,17 +26,6 @@ const telemetry::Counter t_nonfinite =
 
 }  // namespace
 
-bool BetterRecommendation(const Recommendation& a, const Recommendation& b) {
-  // Non-finite scores form one class below every finite score, ordered by
-  // item id: NaN compares unordered with everything, so letting it into the
-  // score comparison would break the strict weak ordering nth_element and
-  // sort rely on. For two finite scores this is the plain order.
-  const bool a_finite = std::isfinite(a.score);
-  if (a_finite != std::isfinite(b.score)) return a_finite;
-  if (a_finite && a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
-}
-
 void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n) {
   SCENEREC_CHECK(scored != nullptr);
   if (n <= 0) {

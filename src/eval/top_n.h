@@ -1,6 +1,7 @@
 #ifndef SCENEREC_EVAL_TOP_N_H_
 #define SCENEREC_EVAL_TOP_N_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,11 +17,28 @@ struct Recommendation {
   float score = 0.0f;
 };
 
-/// The strict total order of every serving surface: finite scores
-/// descending, ties by lower item id, then every non-finite score (NaN,
-/// ±inf) by lower item id. No two distinct candidates compare equal, so any
-/// correct selection algorithm yields the identical top-n list.
-bool BetterRecommendation(const Recommendation& a, const Recommendation& b);
+/// The strict total order of every serving surface, on (score, item)
+/// pairs: finite scores descending, ties by lower item id, then every
+/// non-finite score (NaN, ±inf) by lower item id. No two distinct items
+/// compare equal, so any correct selection algorithm yields the identical
+/// top-n list. Both BetterRecommendation and retrieval's BetterCandidate
+/// are this order.
+inline bool RanksBefore(float score_a, int64_t item_a, float score_b,
+                        int64_t item_b) {
+  // Non-finite scores form one class below every finite score, ordered by
+  // item id: NaN compares unordered with everything, so letting it into the
+  // score comparison would break the strict weak ordering nth_element and
+  // sort rely on. For two finite scores this is the plain order.
+  const bool a_finite = std::isfinite(score_a);
+  if (a_finite != std::isfinite(score_b)) return a_finite;
+  if (a_finite && score_a != score_b) return score_a > score_b;
+  return item_a < item_b;
+}
+
+inline bool BetterRecommendation(const Recommendation& a,
+                                 const Recommendation& b) {
+  return RanksBefore(a.score, a.item, b.score, b.item);
+}
 
 /// The partial-selection routine behind ScoreAndSelectTopN: keeps the `n`
 /// best entries of `scored` under BetterRecommendation, sorted, and counts

@@ -4,11 +4,7 @@
 
 #include "models/bpr_mf.h"
 #include "models/cmn.h"
-#include "models/gcmc.h"
-#include "models/item_pop.h"
-#include "models/item_rank.h"
 #include "models/kgat.h"
-#include "models/kgcn.h"
 #include "models/ncf.h"
 #include "models/ngcf.h"
 #include "models/pinsage.h"
@@ -27,24 +23,6 @@ StatusOr<std::unique_ptr<Recommender>> MakeRecommender(
   const int64_t num_users = graph->num_users();
   const int64_t num_items = graph->num_items();
 
-  if (name == "ItemPop") {
-    return std::unique_ptr<Recommender>(new ItemPop(graph));
-  }
-  if (name == "ItemRank") {
-    return std::unique_ptr<Recommender>(new ItemRank(graph));
-  }
-  if (name == "KGCN") {
-    if (context.scene == nullptr) {
-      return Status::FailedPrecondition("KGCN needs the scene graph");
-    }
-    return std::unique_ptr<Recommender>(new Kgcn(
-        graph, context.scene, config.embedding_dim, config.max_neighbors,
-        rng));
-  }
-  if (name == "GCMC") {
-    return std::unique_ptr<Recommender>(
-        new Gcmc(graph, config.embedding_dim, rng));
-  }
   if (name == "BPR-MF") {
     return std::unique_ptr<Recommender>(
         new BprMf(num_users, num_items, config.embedding_dim, rng));

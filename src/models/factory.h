@@ -24,9 +24,7 @@ struct ModelFactoryConfig {
 
 /// Builds a model by its Table 2 name. Valid names:
 ///   "BPR-MF", "NCF", "CMN", "PinSAGE", "NGCF", "KGAT",
-///   "SceneRec-noitem", "SceneRec-nosce", "SceneRec-noatt", "SceneRec",
-/// plus two extra reference baselines beyond Table 2:
-///   "ItemPop" (popularity floor) and "ItemRank" (random-walk CF, ref [5]).
+///   "SceneRec-noitem", "SceneRec-nosce", "SceneRec-noatt", "SceneRec".
 /// `context.scene` is required for KGAT and the SceneRec family.
 /// Returns InvalidArgument for unknown names, FailedPrecondition when a
 /// required graph is missing.

@@ -35,7 +35,7 @@ struct ModelContext {
 /// they ARE model scores; otherwise they only pick candidates and the final
 /// ranking always comes from exact ScoreBlock rescoring (docs/retrieval.md).
 enum class RetrievalFidelity {
-  /// The inner product is bitwise equal to Score (BPR-MF, GCMC, ItemPop).
+  /// The inner product is bitwise equal to Score (BPR-MF).
   kExactScores,
   /// Equal as real arithmetic but float ops regroup (NGCF/KGAT sum per-layer
   /// dots; the export concatenates layers into one longer dot).

@@ -1,6 +1,7 @@
 #include "retrieval/exact_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -42,12 +43,13 @@ ThreadPool& SweepPool() {
 
 /// Bounded top-k selection. Offered candidates collect in a buffer of at
 /// most 2k entries; whenever it fills, one nth_element keeps its best k
-/// and their worst score becomes the threshold, below which later offers
-/// are dropped unseen. Take() returns exactly what SelectTopK over the
-/// fully materialized candidate list would: BetterCandidate is a strict
-/// TOTAL order (score desc, lower id wins ties), so the sorted top-k is
-/// unique — any selection algorithm must produce it — and a candidate
-/// scoring strictly below k kept ones can never be in it. The win is cost:
+/// and, once their worst score is finite, it becomes the threshold below
+/// which later offers are dropped unseen. Take() returns exactly what
+/// SelectTopK over the fully materialized candidate list would:
+/// BetterCandidate is a strict TOTAL order (finite scores desc, lower id
+/// wins ties, non-finite scores last), so the sorted top-k is unique — any
+/// selection algorithm must produce it — and a candidate scoring strictly
+/// below k kept finite ones can never be in it. The win is cost:
 /// a steady-state Offer is one compare against the threshold, a kept one
 /// a push_back plus an amortized O(1) share of the selection, so the scan
 /// itself stays the dominant term.
@@ -58,7 +60,8 @@ class BoundedTopK {
   }
 
   void Offer(int64_t item, float score) {
-    // Strictly below the threshold (or NaN): k kept candidates beat it.
+    // Strictly below the finite threshold, NaN or -inf: k kept finite
+    // candidates beat it. (+inf passes and the next Shrink drops it.)
     if (full_ && !(score >= threshold_)) return;
     kept_.push_back({item, score});
     if (kept_.size() == 2 * k_) Shrink();
@@ -83,12 +86,16 @@ class BoundedTopK {
   float worst_score() const { return threshold_; }
 
  private:
-  /// Keeps the best k candidates; the k-th best's score is the threshold.
+  /// Keeps the best k candidates. The k-th best's score becomes the
+  /// threshold only when it is finite: a non-finite k-th means fewer than k
+  /// finite scores were offered, and any finite score still beats it.
   void Shrink() {
     const auto kth = kept_.begin() + static_cast<ptrdiff_t>(k_ - 1);
     std::nth_element(kept_.begin(), kth, kept_.end(), BetterCandidate);
-    threshold_ = kth->score;
-    full_ = true;
+    if (std::isfinite(kth->score)) {
+      threshold_ = kth->score;
+      full_ = true;
+    }
     kept_.resize(k_);
   }
 
@@ -119,7 +126,7 @@ void OfferRows(const float* SCENEREC_RESTRICT scores,
       if (bias != nullptr) v = _mm_add_ps(v, _mm_loadu_ps(bias + base + r));
       const __m128 t = _mm_set1_ps(top->worst_score());
       // cmpge is false for NaN lanes, matching Offer (BetterCandidate
-      // never ranks a NaN score above the worst kept candidate).
+      // ranks a NaN score after every kept finite candidate).
       if (_mm_movemask_ps(_mm_cmpge_ps(v, t)) == 0) continue;
       alignas(16) float s4[4];
       _mm_store_ps(s4, v);
@@ -136,13 +143,9 @@ void OfferRows(const float* SCENEREC_RESTRICT scores,
 
 }  // namespace
 
-ExactIndex::ExactIndex(RetrievalEmbeddings embeddings, Options options)
-    : emb_(std::move(embeddings)), opt_(options) {
+ExactIndex::ExactIndex(RetrievalEmbeddings embeddings)
+    : emb_(std::move(embeddings)) {
   SCENEREC_CHECK(emb_.items != nullptr || emb_.num_items == 0);
-  SCENEREC_CHECK_GT(opt_.rescore_factor, 0);
-  if (opt_.quantize_int8) {
-    sq8_ = Sq8Matrix(emb_.items, emb_.num_items, emb_.dim);
-  }
 }
 
 void ExactIndex::Search(std::span<const float> query, int64_t k,
@@ -163,38 +166,14 @@ void ExactIndex::Search(std::span<const float> query, int64_t k,
 
   std::vector<float> scores(static_cast<size_t>(
       std::min(kScanTile, emb_.num_items)));
-  const bool int8_scan = opt_.quantize_int8;
-  // Int8 keeps a k * rescore_factor survivor margin for the float rescore
-  // below; either way at most num_items candidates exist.
-  const int64_t keep = std::min(
-      int8_scan ? k * opt_.rescore_factor : k, emb_.num_items);
-  BoundedTopK top(keep);
-  Sq8Matrix::EncodedQuery eq;
-  if (int8_scan) eq = sq8_.EncodeQuery(query);
+  BoundedTopK top(std::min(k, emb_.num_items));
   for (int64_t r0 = 0; r0 < emb_.num_items; r0 += kScanTile) {
     const int64_t rows = std::min(kScanTile, emb_.num_items - r0);
-    if (int8_scan) {
-      sq8_.ScoreRows(eq, r0, rows, scores.data());
-    } else {
-      kernels::Gemv(emb_.items + r0 * emb_.dim, rows, emb_.dim, query.data(),
-                    scores.data());
-    }
+    kernels::Gemv(emb_.items + r0 * emb_.dim, rows, emb_.dim, query.data(),
+                  scores.data());
     OfferRows(scores.data(), emb_.bias, r0, rows, &top);
   }
   top.Take(out);
-  if (!int8_scan) return;
-
-  // Int8 path: restore exact (float) scores by rescoring just the
-  // survivors — kernels::Dot per row, the same kernel the float scan's
-  // Gemv uses, so rescored scores are bitwise float-scan scores.
-  for (RetrievalCandidate& c : *out) {
-    float s = kernels::Dot(query.data(), emb_.items + c.item * emb_.dim,
-                           emb_.dim);
-    if (emb_.bias != nullptr) s += emb_.bias[c.item];
-    c.score = s;
-  }
-  if (stats != nullptr) stats->rescored = static_cast<int64_t>(out->size());
-  SelectTopK(out, k);
 }
 
 void ExactIndex::MultiSearch(std::span<const float> queries,
@@ -213,32 +192,17 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
     (*outs)[static_cast<size_t>(q)].clear();
   }
   if (emb_.num_items == 0 || nq == 0) return;
-  const bool int8_scan = opt_.quantize_int8;
-  std::vector<int64_t> keeps(static_cast<size_t>(nq));
-  for (int64_t q = 0; q < nq; ++q) {
-    if (stats != nullptr) {
-      (*stats)[static_cast<size_t>(q)].lists_probed = 1;
-      (*stats)[static_cast<size_t>(q)].items_scanned = emb_.num_items;
-    }
-    keeps[static_cast<size_t>(q)] = std::min(
-        int8_scan ? ks[q] * opt_.rescore_factor : ks[q], emb_.num_items);
-  }
-
-  std::vector<Sq8Matrix::EncodedQuery> eqs;
-  if (int8_scan) {
-    eqs.reserve(static_cast<size_t>(nq));
-    for (int64_t q = 0; q < nq; ++q) {
-      eqs.push_back(sq8_.EncodeQuery(
-          queries.subspan(static_cast<size_t>(q * emb_.dim),
-                          static_cast<size_t>(emb_.dim))));
+  if (stats != nullptr) {
+    for (SearchStats& s : *stats) {
+      s.lists_probed = 1;
+      s.items_scanned = emb_.num_items;
     }
   }
 
   // The shared sweep: each item tile is scored for EVERY query before the
   // scan moves on, so the matrix streams through cache once per batch
   // rather than once per query. Scores per (row, query) are bitwise the
-  // single-query scan's (GemvMulti rows are fixed-order Dot; the int8
-  // kernels are integer and order-free).
+  // single-query scan's (GemvMulti rows are fixed-order Dot).
   //
   // The tiles split into contiguous chunks across the sweep pool's lanes.
   // Each chunk keeps its own bounded top-k per query, and after the join
@@ -255,7 +219,7 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
     std::vector<BoundedTopK>& tops = chunk_tops[static_cast<size_t>(chunk)];
     tops.reserve(static_cast<size_t>(nq));
     for (int64_t q = 0; q < nq; ++q) {
-      tops.emplace_back(keeps[static_cast<size_t>(q)]);
+      tops.emplace_back(std::min(ks[q], emb_.num_items));
     }
     const int64_t tile_begin = chunk * num_tiles / num_chunks;
     const int64_t tile_end = (chunk + 1) * num_tiles / num_chunks;
@@ -264,15 +228,8 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
     for (int64_t t = tile_begin; t < tile_end; ++t) {
       const int64_t r0 = t * kScanTile;
       const int64_t rows = std::min(kScanTile, emb_.num_items - r0);
-      if (int8_scan) {
-        for (int64_t q = 0; q < nq; ++q) {
-          sq8_.ScoreRows(eqs[static_cast<size_t>(q)], r0, rows,
-                         scores.data() + q * rows);
-        }
-      } else {
-        kernels::GemvMulti(emb_.items + r0 * emb_.dim, rows, emb_.dim,
-                           queries.data(), nq, scores.data());
-      }
+      kernels::GemvMulti(emb_.items + r0 * emb_.dim, rows, emb_.dim,
+                         queries.data(), nq, scores.data());
       for (int64_t q = 0; q < nq; ++q) {
         OfferRows(scores.data() + q * rows, emb_.bias, r0, rows,
                   &tops[static_cast<size_t>(q)]);
@@ -288,20 +245,7 @@ void ExactIndex::MultiSearch(std::span<const float> queries,
     for (int64_t chunk = 1; chunk < num_chunks; ++chunk) {
       top.Absorb(chunk_tops[static_cast<size_t>(chunk)][static_cast<size_t>(q)]);
     }
-    std::vector<RetrievalCandidate>& out = (*outs)[static_cast<size_t>(q)];
-    top.Take(&out);
-    if (!int8_scan) continue;
-    const float* query = queries.data() + q * emb_.dim;
-    for (RetrievalCandidate& c : out) {
-      float s = kernels::Dot(query, emb_.items + c.item * emb_.dim, emb_.dim);
-      if (emb_.bias != nullptr) s += emb_.bias[c.item];
-      c.score = s;
-    }
-    if (stats != nullptr) {
-      (*stats)[static_cast<size_t>(q)].rescored =
-          static_cast<int64_t>(out.size());
-    }
-    SelectTopK(&out, ks[q]);
+    top.Take(&(*outs)[static_cast<size_t>(q)]);
   }
 }
 

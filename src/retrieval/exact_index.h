@@ -4,40 +4,23 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "retrieval/item_index.h"
-#include "retrieval/quantize.h"
 
 namespace scenerec {
 
 /// The recall = 1.0 reference backend: a blocked exact top-K scan of the
 /// whole item matrix. Each tile of rows is scored by kernels::Gemv — whose
 /// row r IS the fixed-order kernels::Dot — so under kExactScores fidelity
-/// (BPR-MF, GCMC, ItemPop) every candidate score is bitwise equal to
-/// Score(user, item) and the top-K list matches TopNRecommendations
-/// modulo masking (tests/retrieval_test.cc asserts this).
-///
-/// With Options::quantize_int8 the scan runs over uint8 codes via the int32
-/// kernels instead (4x less memory traffic), keeps the best
-/// k * rescore_factor survivors, and rescores them against the float
-/// matrix — exactness of the FINAL scores is restored, only candidate-set
-/// membership can differ from the float scan.
+/// (BPR-MF) every candidate score is bitwise equal to Score(user, item)
+/// and the top-K list matches TopNRecommendations modulo masking
+/// (tests/retrieval_test.cc asserts this).
 class ExactIndex : public ItemIndex {
  public:
-  struct Options {
-    bool quantize_int8 = false;
-    int64_t rescore_factor = 4;  // survivors kept per requested k
-  };
+  explicit ExactIndex(RetrievalEmbeddings embeddings);
 
-  ExactIndex(RetrievalEmbeddings embeddings, Options options);
-  explicit ExactIndex(RetrievalEmbeddings embeddings)
-      : ExactIndex(std::move(embeddings), Options{}) {}
-
-  std::string name() const override {
-    return opt_.quantize_int8 ? "exact_sq8" : "exact";
-  }
+  std::string name() const override { return "exact"; }
   int64_t num_items() const override { return emb_.num_items; }
   int64_t dim() const override { return emb_.dim; }
   RetrievalFidelity fidelity() const override { return emb_.fidelity; }
@@ -55,15 +38,8 @@ class ExactIndex : public ItemIndex {
                    std::vector<std::vector<RetrievalCandidate>>* outs,
                    std::vector<SearchStats>* stats = nullptr) const override;
 
-  /// Introspection for tests; null when quantize_int8 is off.
-  const Sq8Matrix* quantizer() const {
-    return opt_.quantize_int8 ? &sq8_ : nullptr;
-  }
-
  private:
   RetrievalEmbeddings emb_;
-  Options opt_;
-  Sq8Matrix sq8_;  // engaged only under quantize_int8
 };
 
 }  // namespace scenerec

@@ -19,24 +19,17 @@ const char* IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kExact:
       return "exact";
-    case IndexKind::kExactSq8:
-      return "exact_sq8";
     case IndexKind::kIvf:
       return "ivf";
-    case IndexKind::kIvfSq8:
-      return "ivf_sq8";
   }
   return "unknown";
 }
 
 StatusOr<IndexKind> ParseIndexKind(const std::string& name) {
   if (name == "exact") return IndexKind::kExact;
-  if (name == "exact_sq8") return IndexKind::kExactSq8;
   if (name == "ivf") return IndexKind::kIvf;
-  if (name == "ivf_sq8") return IndexKind::kIvfSq8;
-  return Status::InvalidArgument(
-      "unknown retrieval backend '" + name +
-      "' (expected exact, exact_sq8, ivf or ivf_sq8)");
+  return Status::InvalidArgument("unknown retrieval backend '" + name +
+                                 "' (expected exact or ivf)");
 }
 
 StatusOr<std::unique_ptr<ItemIndex>> IndexBuilder::BuildFromEmbeddings(
@@ -49,21 +42,12 @@ StatusOr<std::unique_ptr<ItemIndex>> IndexBuilder::BuildFromEmbeddings(
   t_builds.Add(1);
   switch (config_.kind) {
     case IndexKind::kExact:
-    case IndexKind::kExactSq8: {
-      ExactIndex::Options opt;
-      opt.quantize_int8 = config_.kind == IndexKind::kExactSq8;
-      opt.rescore_factor = config_.rescore_factor;
-      return std::unique_ptr<ItemIndex>(
-          new ExactIndex(std::move(embeddings), opt));
-    }
-    case IndexKind::kIvf:
-    case IndexKind::kIvfSq8: {
+      return std::unique_ptr<ItemIndex>(new ExactIndex(std::move(embeddings)));
+    case IndexKind::kIvf: {
       IvfIndex::Options opt;
       opt.nlist = config_.nlist;
       opt.nprobe = config_.nprobe;
       opt.kmeans_iterations = config_.kmeans_iterations;
-      opt.quantize_int8 = config_.kind == IndexKind::kIvfSq8;
-      opt.rescore_factor = config_.rescore_factor;
       opt.seed = config_.seed;
       return std::unique_ptr<ItemIndex>(
           new IvfIndex(std::move(embeddings), opt));

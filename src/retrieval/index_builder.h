@@ -12,24 +12,22 @@
 
 namespace scenerec {
 
-/// The four retrieval backends, as spelled on the CLI --retrieval flag.
-enum class IndexKind { kExact, kExactSq8, kIvf, kIvfSq8 };
+/// The two retrieval backends, as spelled on the CLI --retrieval flag.
+enum class IndexKind { kExact, kIvf };
 
 const char* IndexKindName(IndexKind kind);
 
-/// Parses "exact" | "exact_sq8" | "ivf" | "ivf_sq8"; InvalidArgument
-/// otherwise.
+/// Parses "exact" | "ivf"; InvalidArgument otherwise.
 StatusOr<IndexKind> ParseIndexKind(const std::string& name);
 
 /// Knobs shared across backends; IVF-only fields are ignored by the exact
-/// backends. The defaults are the documented operating point of
+/// backend. The defaults are the documented operating point of
 /// docs/retrieval.md (recall@100 >= 0.95 on the bench catalog).
 struct IndexBuildConfig {
   IndexKind kind = IndexKind::kExact;
   int64_t nlist = 0;   // 0 = sqrt(num_items)
   int64_t nprobe = 8;
   int64_t kmeans_iterations = 8;
-  int64_t rescore_factor = 4;
   uint64_t seed = 42;
 };
 
@@ -44,8 +42,8 @@ class IndexBuilder {
   /// From a live model. The model's eval representations are used as-is
   /// (lazily computed if cold); call OnEvalBegin first if parameters
   /// changed since the last eval sweep. FailedPrecondition for models
-  /// without retrieval-embedding support (NCF, CMN, KGCN, PinSAGE,
-  /// ItemRank score through structures no inner product represents).
+  /// without retrieval-embedding support (NCF, CMN and PinSAGE score
+  /// through structures no inner product represents).
   StatusOr<std::unique_ptr<ItemIndex>> Build(Recommender& model) const;
 
   /// From an already-exported matrix (snapshot_inspect --export-index and

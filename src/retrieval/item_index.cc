@@ -22,10 +22,6 @@ void ItemIndex::MultiSearch(std::span<const float> queries,
   }
 }
 
-bool BetterCandidate(const RetrievalCandidate& a, const RetrievalCandidate& b) {
-  return a.score != b.score ? a.score > b.score : a.item < b.item;
-}
-
 void SelectTopK(std::vector<RetrievalCandidate>* candidates, int64_t k) {
   const size_t keep =
       std::min(static_cast<size_t>(std::max<int64_t>(k, 0)), candidates->size());

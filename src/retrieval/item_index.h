@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/top_n.h"
 #include "models/recommender.h"
 
 namespace scenerec {
@@ -18,9 +19,8 @@ namespace scenerec {
 // and callers rerank the survivors with exact ScoreBlock
 // (retrieval/two_stage.h).
 
-/// One retrieved candidate. `score` is the index's inner-product score
-/// (after int8 survivors are rescored in float, where applicable) — NOT
-/// necessarily the model score; see the fidelity note above.
+/// One retrieved candidate. `score` is the index's inner-product score —
+/// NOT necessarily the model score; see the fidelity note above.
 struct RetrievalCandidate {
   int64_t item = 0;
   float score = 0.0f;
@@ -30,7 +30,7 @@ struct RetrievalCandidate {
 struct SearchStats {
   int64_t lists_probed = 0;   // coarse lists visited (1 scan for flat indexes)
   int64_t items_scanned = 0;  // embeddings scored (approximately or exactly)
-  int64_t rescored = 0;       // int8 survivors rescored in float
+  int64_t rescored = 0;       // candidates handed to the exact rerank
 };
 
 /// Read-only ANN index over an exported item-embedding matrix. Search is
@@ -40,16 +40,16 @@ class ItemIndex {
  public:
   virtual ~ItemIndex() = default;
 
-  /// Backend name: "exact", "exact_sq8", "ivf" or "ivf_sq8".
+  /// Backend name: "exact" or "ivf".
   virtual std::string name() const = 0;
   virtual int64_t num_items() const = 0;
   virtual int64_t dim() const = 0;
   /// Fidelity declared by the exporting model.
   virtual RetrievalFidelity fidelity() const = 0;
 
-  /// Writes the (up to) `k` best candidates into `out`, ordered score-desc
-  /// with lower-id tie break (the PR 5 serving order). `query` must have
-  /// dim() elements. `stats`, when non-null, is overwritten.
+  /// Writes the (up to) `k` best candidates into `out`, in BetterCandidate
+  /// order. `query` must have dim() elements. `stats`, when non-null, is
+  /// overwritten.
   virtual void Search(std::span<const float> query, int64_t k,
                       std::vector<RetrievalCandidate>* out,
                       SearchStats* stats = nullptr) const = 0;
@@ -69,10 +69,15 @@ class ItemIndex {
                            std::vector<SearchStats>* stats = nullptr) const;
 };
 
-/// The strict total order every backend returns results in: score desc,
-/// lower item id first — mirrors eval/top_n.cc so the exact backend's list
-/// is bitwise comparable against TopNRecommendations.
-bool BetterCandidate(const RetrievalCandidate& a, const RetrievalCandidate& b);
+/// The strict total order every backend returns results in: the serving
+/// order of eval/top_n.h (finite scores desc, lower item id first, then
+/// every non-finite score by id), so the exact backend's list is bitwise
+/// comparable against TopNRecommendations and a NaN row cannot break
+/// selection.
+inline bool BetterCandidate(const RetrievalCandidate& a,
+                            const RetrievalCandidate& b) {
+  return RanksBefore(a.score, a.item, b.score, b.item);
+}
 
 /// In-place partial selection of the top `k` under BetterCandidate:
 /// truncates `candidates` to min(k, size) entries, sorted.

@@ -36,7 +36,6 @@ int64_t AssignList(const float* cdots, const float* half_norms,
 IvfIndex::IvfIndex(RetrievalEmbeddings embeddings, Options options)
     : emb_(std::move(embeddings)), opt_(options) {
   SCENEREC_CHECK(emb_.items != nullptr || emb_.num_items == 0);
-  SCENEREC_CHECK_GT(opt_.rescore_factor, 0);
   SCENEREC_CHECK_GT(opt_.kmeans_iterations, 0);
   if (opt_.nlist > 0) {
     nlist_ = std::min(opt_.nlist, std::max<int64_t>(emb_.num_items, 1));
@@ -48,9 +47,6 @@ IvfIndex::IvfIndex(RetrievalEmbeddings embeddings, Options options)
   }
   opt_.nprobe = std::clamp<int64_t>(opt_.nprobe, 1, nlist_);
   BuildCoarseQuantizer();
-  if (opt_.quantize_int8) {
-    sq8_ = Sq8Matrix(emb_.items, emb_.num_items, emb_.dim);
-  }
 }
 
 void IvfIndex::set_nprobe(int64_t nprobe) {
@@ -154,19 +150,14 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
   }
   SelectTopK(&probe, opt_.nprobe);
 
-  const bool int8_scan = opt_.quantize_int8;
-  Sq8Matrix::EncodedQuery eq;
-  if (int8_scan) eq = sq8_.EncodeQuery(query);
   for (const RetrievalCandidate& p : probe) {
     const int64_t l = p.item;
     const int64_t begin = list_offsets_[static_cast<size_t>(l)];
     const int64_t end = list_offsets_[static_cast<size_t>(l) + 1];
     for (int64_t c = begin; c < end; ++c) {
       const int64_t item = list_items_[static_cast<size_t>(c)];
-      float s = int8_scan
-                    ? sq8_.Score(eq, item)
-                    : kernels::Dot(query.data(), emb_.items + item * emb_.dim,
-                                   emb_.dim);
+      float s = kernels::Dot(query.data(), emb_.items + item * emb_.dim,
+                             emb_.dim);
       if (emb_.bias != nullptr) s += emb_.bias[item];
       out->push_back({item, s});
     }
@@ -176,21 +167,6 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
     }
   }
 
-  if (!int8_scan) {
-    SelectTopK(out, k);
-    return;
-  }
-
-  // Int8 survivors margin + float rescore, as in ExactIndex: final scores
-  // are exact index scores, approximation only affects membership.
-  SelectTopK(out, k * opt_.rescore_factor);
-  for (RetrievalCandidate& c : *out) {
-    float s = kernels::Dot(query.data(), emb_.items + c.item * emb_.dim,
-                           emb_.dim);
-    if (emb_.bias != nullptr) s += emb_.bias[c.item];
-    c.score = s;
-  }
-  if (stats != nullptr) stats->rescored = static_cast<int64_t>(out->size());
   SelectTopK(out, k);
 }
 

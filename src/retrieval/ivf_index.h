@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "retrieval/item_index.h"
-#include "retrieval/quantize.h"
 
 namespace scenerec {
 
@@ -22,18 +21,13 @@ namespace scenerec {
 /// (tests/retrieval_test.cc compares them field by field).
 ///
 /// List selection ranks centroids by query . centroid — the maximum-inner-
-/// product surrogate for the L2 assignment used at build time. With
-/// Options::quantize_int8 the member scans run over uint8 codes (shared
-/// Sq8Matrix quantization with the exact_sq8 backend) and survivors are
-/// rescored in float.
+/// product surrogate for the L2 assignment used at build time.
 class IvfIndex : public ItemIndex {
  public:
   struct Options {
     int64_t nlist = 0;   // 0 = clamp(sqrt(num_items), 1, num_items)
     int64_t nprobe = 8;  // lists scanned per query
     int64_t kmeans_iterations = 8;
-    bool quantize_int8 = false;
-    int64_t rescore_factor = 4;
     uint64_t seed = 42;  // coarse-quantizer initialization
   };
 
@@ -41,9 +35,7 @@ class IvfIndex : public ItemIndex {
   explicit IvfIndex(RetrievalEmbeddings embeddings)
       : IvfIndex(std::move(embeddings), Options{}) {}
 
-  std::string name() const override {
-    return opt_.quantize_int8 ? "ivf_sq8" : "ivf";
-  }
+  std::string name() const override { return "ivf"; }
   int64_t num_items() const override { return emb_.num_items; }
   int64_t dim() const override { return emb_.dim; }
   RetrievalFidelity fidelity() const override { return emb_.fidelity; }
@@ -64,10 +56,6 @@ class IvfIndex : public ItemIndex {
   /// list_offsets()[l+1]), ascending ids. offsets has nlist+1 entries.
   std::span<const int64_t> list_offsets() const { return list_offsets_; }
   std::span<const int64_t> list_items() const { return list_items_; }
-  /// Null when quantize_int8 is off.
-  const Sq8Matrix* quantizer() const {
-    return opt_.quantize_int8 ? &sq8_ : nullptr;
-  }
 
  private:
   void BuildCoarseQuantizer();
@@ -78,7 +66,6 @@ class IvfIndex : public ItemIndex {
   std::vector<float> centroids_;      // [nlist, dim]
   std::vector<int64_t> list_offsets_; // [nlist + 1]
   std::vector<int64_t> list_items_;   // [num_items]
-  Sq8Matrix sq8_;                     // engaged only under quantize_int8
 };
 
 }  // namespace scenerec

@@ -10,16 +10,14 @@
 namespace scenerec {
 
 namespace {
-// Retrieval telemetry (docs/observability.md): probe volume, candidate
-// throughput and exact-rescore volume of the two-stage path.
+// Retrieval telemetry (docs/observability.md): probe volume and candidate
+// throughput of the two-stage path.
 const telemetry::Counter t_queries =
     telemetry::RegisterCounter("retrieval/queries");
 const telemetry::Counter t_probes =
     telemetry::RegisterCounter("retrieval/probes");
 const telemetry::Counter t_candidates =
     telemetry::RegisterCounter("retrieval/candidates");
-const telemetry::Counter t_rescored =
-    telemetry::RegisterCounter("retrieval/rescored");
 }  // namespace
 
 std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
@@ -64,7 +62,6 @@ std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
     }
     t_probes.Add(static_cast<uint64_t>((*stats)[q].lists_probed));
     t_candidates.Add(kept.size());
-    t_rescored.Add(kept.size());
     (*stats)[q].rescored = static_cast<int64_t>(kept.size());
   }
   return ids;

@@ -10,7 +10,7 @@
 ///   4. model:  SceneRec (or MakeRecommender for any baseline)
 ///   5. train:  TrainAndEvaluate (BPR + RMSProp, eq. 15)
 ///   6. serve:  Recommender::Score / TopNRecommendations
-///   7. persist: SaveCheckpoint / LoadCheckpoint
+///   7. persist: WriteSnapshot / OpenRecommenderFromSnapshot
 
 #include "common/flags.h"
 #include "common/logging.h"
@@ -35,7 +35,7 @@
 #include "models/factory.h"
 #include "models/recommender.h"
 #include "models/scene_rec.h"
-#include "nn/serialization.h"
+#include "nn/snapshot.h"
 #include "train/grid_search.h"
 #include "train/trainer.h"
 

@@ -544,32 +544,6 @@ void GemmTNAccum(const float* SCENEREC_RESTRICT a,
   }
 }
 
-int32_t DotQ8(const int8_t* SCENEREC_RESTRICT q,
-              const uint8_t* SCENEREC_RESTRICT codes, int64_t n) {
-  // Widen both sides to int32 up front; the compiler narrows back to the
-  // int16-product / int32-accumulate vector idiom on its own, and integer
-  // addition is exact so no partial-accumulator dance is needed.
-  int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += static_cast<int32_t>(q[i + 0]) * static_cast<int32_t>(codes[i + 0]);
-    acc1 += static_cast<int32_t>(q[i + 1]) * static_cast<int32_t>(codes[i + 1]);
-    acc2 += static_cast<int32_t>(q[i + 2]) * static_cast<int32_t>(codes[i + 2]);
-    acc3 += static_cast<int32_t>(q[i + 3]) * static_cast<int32_t>(codes[i + 3]);
-  }
-  int32_t total = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < n; ++i) {
-    total += static_cast<int32_t>(q[i]) * static_cast<int32_t>(codes[i]);
-  }
-  return total;
-}
-
-void GemvQ8(const uint8_t* SCENEREC_RESTRICT codes, int64_t rows, int64_t n,
-            const int8_t* SCENEREC_RESTRICT q, int32_t* SCENEREC_RESTRICT out) {
-  TRACE_KERNEL("GemvQ8", rows, n);
-  for (int64_t r = 0; r < rows; ++r) out[r] = DotQ8(q, codes + r * n, n);
-}
-
 // -- Scalar references -------------------------------------------------------
 //
 // Naive loops with the most obvious accumulation order. The equivalence
@@ -657,19 +631,6 @@ void GemmTNAccumRef(const float* a, const float* g, float* db, int64_t m,
       }
     }
   }
-}
-
-int32_t DotQ8Ref(const int8_t* q, const uint8_t* codes, int64_t n) {
-  int32_t acc = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(q[i]) * static_cast<int32_t>(codes[i]);
-  }
-  return acc;
-}
-
-void GemvQ8Ref(const uint8_t* codes, int64_t rows, int64_t n, const int8_t* q,
-               int32_t* out) {
-  for (int64_t r = 0; r < rows; ++r) out[r] = DotQ8Ref(q, codes + r * n, n);
 }
 
 }  // namespace kernels

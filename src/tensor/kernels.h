@@ -130,24 +130,6 @@ void GemmTNAccum(const float* SCENEREC_RESTRICT a,
                  const float* SCENEREC_RESTRICT g, float* SCENEREC_RESTRICT db,
                  int64_t m, int64_t k, int64_t n);
 
-// -- Int8 quantized kernels (retrieval/) -------------------------------------
-//
-// Integer addition is associative, so unlike the float kernels above these
-// carry no accumulation-order contract: any vectorization of the loops below
-// produces the identical int32 result. Codes are uint8 (asymmetric
-// per-dimension quantization of item embeddings, retrieval/quantize.h);
-// queries are int8 (symmetric). Products fit int16, and with n ≤ 2^16 rows
-// of 127*255 products the int32 accumulator cannot overflow.
-
-/// Σ_i q[i] * codes[i] accumulated in int32.
-int32_t DotQ8(const int8_t* SCENEREC_RESTRICT q,
-              const uint8_t* SCENEREC_RESTRICT codes, int64_t n);
-
-/// out[r] = DotQ8(q, codes + r*n) for a row-major code matrix [rows, n] —
-/// the int8 analogue of Gemv, used by the quantized index scans.
-void GemvQ8(const uint8_t* SCENEREC_RESTRICT codes, int64_t rows, int64_t n,
-            const int8_t* SCENEREC_RESTRICT q, int32_t* SCENEREC_RESTRICT out);
-
 // -- Scalar references (testing only) ---------------------------------------
 
 float DotRef(const float* a, const float* b, int64_t n);
@@ -171,9 +153,6 @@ void GemmNTAccumRef(const float* g, const float* b, float* da, int64_t m,
                     int64_t n, int64_t k);
 void GemmTNAccumRef(const float* a, const float* g, float* db, int64_t m,
                     int64_t k, int64_t n);
-int32_t DotQ8Ref(const int8_t* q, const uint8_t* codes, int64_t n);
-void GemvQ8Ref(const uint8_t* codes, int64_t rows, int64_t n, const int8_t* q,
-               int32_t* out);
 
 }  // namespace kernels
 }  // namespace scenerec

@@ -235,40 +235,6 @@ Tensor Scale(const Tensor& a, float s) {
       [s](float, float) { return s; });
 }
 
-Tensor ScaleBy(const Tensor& a, const Tensor& scalar) {
-  TRACE_OP("ScaleBy");
-  SCENEREC_CHECK_EQ(scalar.num_elements(), 1);
-  const auto& av = a.value();
-  const float s = scalar.value()[0];
-  FloatBuffer out = FloatBuffer::Uninitialized(av.size());
-  for (size_t i = 0; i < av.size(); ++i) out[i] = av[i] * s;
-  auto an = a.node();
-  auto sn = scalar.node();
-  auto result =
-      MakeOp("ScaleBy", a.shape(), std::move(out), {a, scalar}, nullptr);
-  TensorNode* on = result.node().get();
-  if (result.requires_grad()) {
-    on->backward_fn = [an, sn, on]() {
-      const auto& g = on->grad;
-      if (an->requires_grad) {
-        auto lock = internal_tensor::LockGradIfSharedLeaf(an.get());
-        an->EnsureGrad();
-        const float s_val = sn->value[0];
-        kernels::Axpy(s_val, g.data(), an->grad.data(),
-                      static_cast<int64_t>(g.size()));
-      }
-      if (sn->requires_grad) {
-        const float acc = kernels::Dot(g.data(), an->value.data(),
-                                       static_cast<int64_t>(g.size()));
-        auto lock = internal_tensor::LockGradIfSharedLeaf(sn.get());
-        sn->EnsureGrad();
-        sn->grad[0] += acc;
-      }
-    };
-  }
-  return result;
-}
-
 Tensor AddScalar(const Tensor& a, float c) {
   return UnaryOp(
       "AddScalar", a, [c](float x) { return x + c; },

@@ -36,10 +36,6 @@ Tensor Div(const Tensor& a, const Tensor& b);
 /// s * a for a compile-time-known scalar s (no gradient to s).
 Tensor Scale(const Tensor& a, float s);
 
-/// Elementwise a * s where `scalar` is a rank-0 tensor; gradients flow into
-/// both operands (learned gates, temperature scaling).
-Tensor ScaleBy(const Tensor& a, const Tensor& scalar);
-
 /// a + c elementwise for a constant c.
 Tensor AddScalar(const Tensor& a, float c);
 

@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "nn/optimizer.h"
-#include "nn/serialization.h"
 #include "nn/snapshot.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
@@ -383,10 +382,6 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
       result.best_epoch = epoch;
       best_snapshot = SnapshotParameters(params);
       epochs_since_best = 0;
-      if (!config.checkpoint_path.empty()) {
-        SCENEREC_RETURN_IF_ERROR(
-            SaveCheckpoint(model, model.name(), config.checkpoint_path));
-      }
       if (snapshot_store.has_value()) {
         SCENEREC_ASSIGN_OR_RETURN(
             const uint64_t version,

@@ -51,17 +51,14 @@ struct TrainConfig {
   /// per-thread ring buffers. The caller exports the timeline (e.g. via
   /// --trace[=path.json] in the CLIs, Chrome trace-event JSON).
   bool trace = false;
-  /// When non-empty, the best-validation parameters are also written to
-  /// this checkpoint file (tagged with the model's name) every time the
-  /// validation NDCG improves — a crash mid-run loses at most the epochs
-  /// since the last improvement.
-  std::string checkpoint_path;
-  /// When non-empty, every validation improvement also writes a VERSIONED
-  /// snapshot (nn/snapshot.h) into this directory through a SnapshotStore:
-  /// monotonic version ids, atomic publication, and only the newest
-  /// `snapshot_retain` files kept. A serving process can open the latest
-  /// version zero-copy (OpenRecommenderFromSnapshot) and hot-swap it in
-  /// while this run is still training — see docs/serving.md.
+  /// When non-empty, every validation improvement writes a VERSIONED
+  /// snapshot (nn/snapshot.h, tagged with the model's name) into this
+  /// directory through a SnapshotStore: monotonic version ids, atomic
+  /// publication, and only the newest `snapshot_retain` files kept. A crash
+  /// mid-run loses at most the epochs since the last improvement, and a
+  /// serving process can open the latest version zero-copy
+  /// (OpenRecommenderFromSnapshot) and hot-swap it in while this run is
+  /// still training — see docs/serving.md.
   std::string snapshot_dir;
   /// How many snapshot versions to keep in `snapshot_dir` (>= 1).
   int64_t snapshot_retain = 3;

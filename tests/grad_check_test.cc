@@ -233,14 +233,6 @@ TEST(GradCheckTest, WeightedSumRows) {
       {rows, w});
 }
 
-TEST(GradCheckTest, ScaleByScalarTensor) {
-  Rng rng(32);
-  Tensor a = RandomVec(5, rng);
-  Tensor s = Tensor::Scalar(rng.NextFloat(0.5f, 1.5f), true);
-  ExpectGradientsClose(
-      [&] { return Dot(ScaleBy(a, s), Projection(5)); }, {a, s});
-}
-
 TEST(GradCheckTest, MaxRowsAwayFromTies) {
   // Distinct values so the argmax is stable under the finite-difference
   // perturbation.

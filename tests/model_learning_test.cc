@@ -71,9 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
         LearningCase{"CMN", 0.20, 5e-3f},
         LearningCase{"PinSAGE", 0.24, 1e-3f},
         LearningCase{"NGCF", 0.24, 1e-3f},
-        LearningCase{"GCMC", 0.24, 2e-3f},
         LearningCase{"KGAT", 0.22, 2e-3f},
-        LearningCase{"KGCN", 0.22, 2e-3f},
         LearningCase{"SceneRec", 0.26, 2e-3f},
         LearningCase{"SceneRec-noitem", 0.24, 2e-3f},
         LearningCase{"SceneRec-nosce", 0.24, 2e-3f},

@@ -7,7 +7,6 @@
 #include "models/bpr_mf.h"
 #include "models/cmn.h"
 #include "models/factory.h"
-#include "models/item_rank.h"
 #include "models/kgat.h"
 #include "models/ncf.h"
 #include "models/neighbor_util.h"
@@ -281,6 +280,12 @@ TEST_F(ModelsTest, FactoryRejectsUnknownAndMissingGraphs) {
   ModelContext context{&ui_graph_, &scene_graph_};
   ModelFactoryConfig config;
   EXPECT_FALSE(MakeRecommender("SVD++", context, config).ok());
+  // The four baselines outside Table 2 are no longer factory models.
+  for (const char* retired : {"ItemPop", "ItemRank", "GCMC", "KGCN"}) {
+    auto model = MakeRecommender(retired, context, config);
+    ASSERT_FALSE(model.ok()) << retired;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << retired;
+  }
 
   ModelContext no_scene{&ui_graph_, nullptr};
   EXPECT_FALSE(MakeRecommender("KGAT", no_scene, config).ok());
@@ -289,113 +294,6 @@ TEST_F(ModelsTest, FactoryRejectsUnknownAndMissingGraphs) {
 
   ModelContext nothing{nullptr, nullptr};
   EXPECT_FALSE(MakeRecommender("BPR-MF", nothing, config).ok());
-}
-
-TEST_F(ModelsTest, KgcnContract) {
-  ModelContext context{&ui_graph_, &scene_graph_};
-  ModelFactoryConfig config;
-  config.embedding_dim = 16;
-  config.max_neighbors = 6;
-  auto model = MakeRecommender("KGCN", context, config);
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->name(), "KGCN");
-  CheckTrainingContract(**model);
-  CheckDeterministicInference(**model);
-}
-
-TEST_F(ModelsTest, KgcnRequiresSceneGraph) {
-  ModelContext no_scene{&ui_graph_, nullptr};
-  ModelFactoryConfig config;
-  EXPECT_FALSE(MakeRecommender("KGCN", no_scene, config).ok());
-}
-
-TEST_F(ModelsTest, GcmcContract) {
-  ModelContext context{&ui_graph_, nullptr};
-  ModelFactoryConfig config;
-  config.embedding_dim = 16;
-  auto model = MakeRecommender("GCMC", context, config);
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->name(), "GCMC");
-  CheckTrainingContract(**model);
-  CheckDeterministicInference(**model);
-}
-
-TEST_F(ModelsTest, GcmcCachedScoreMatchesTrainingScore) {
-  ModelContext context{&ui_graph_, nullptr};
-  ModelFactoryConfig config;
-  config.embedding_dim = 8;
-  auto model = MakeRecommender("GCMC", context, config);
-  ASSERT_TRUE(model.ok());
-  (*model)->OnEvalBegin();
-  NoGradGuard no_grad;
-  for (int64_t u = 0; u < 3; ++u) {
-    for (int64_t i = 0; i < 3; ++i) {
-      EXPECT_NEAR((*model)->Score(u, i),
-                  (*model)->ScoreForTraining(u, i).scalar(), 1e-4);
-    }
-  }
-}
-
-// -- Training-free reference baselines ---------------------------------------------
-
-TEST_F(ModelsTest, ItemPopScoresByDegree) {
-  ModelContext context{&ui_graph_, nullptr};
-  ModelFactoryConfig config;
-  auto model = MakeRecommender("ItemPop", context, config);
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->name(), "ItemPop");
-  // Score equals the training degree, independent of the user.
-  for (int64_t item = 0; item < 10; ++item) {
-    EXPECT_FLOAT_EQ((*model)->Score(0, item),
-                    static_cast<float>(ui_graph_.ItemDegree(item)));
-    EXPECT_FLOAT_EQ((*model)->Score(5, item), (*model)->Score(0, item));
-  }
-  // Its BatchLoss is a zero-gradient constant so the trainer can run it.
-  std::vector<BprTriple> batch{{0, 1, 2}};
-  (*model)->ZeroGrad();
-  Tensor loss = (*model)->BatchLoss(batch);
-  EXPECT_FLOAT_EQ(loss.scalar(), 0.0f);
-  Backward(loss);  // must not crash
-}
-
-TEST_F(ModelsTest, ItemRankFavorsCoConsumedItems) {
-  ModelContext context{&ui_graph_, nullptr};
-  ModelFactoryConfig config;
-  auto model = MakeRecommender("ItemRank", context, config);
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->name(), "ItemRank");
-  // Items the user interacted with keep probability mass (restart); an item
-  // co-consumed with the user's items must outscore a random item that is
-  // never co-consumed with them.
-  const int64_t user = 0;
-  auto history = ui_graph_.ItemsOfUser(user);
-  ASSERT_FALSE(history.empty());
-  const float own = (*model)->Score(user, history[0]);
-  EXPECT_GT(own, 0.0f);
-  // Scores are a probability-like vector: non-negative everywhere.
-  for (int64_t item = 0; item < ui_graph_.num_items(); item += 7) {
-    EXPECT_GE((*model)->Score(user, item), 0.0f);
-  }
-  // Deterministic (cached) scoring.
-  EXPECT_EQ((*model)->Score(user, 3), (*model)->Score(user, 3));
-}
-
-TEST(ItemRankStructureTest, WalksReachCoConsumedItems) {
-  // Hand-built graph: user 0 consumed {0, 1}. Other users connect item 0
-  // with item 2 (co-consumption), while item 3 is consumed by one unrelated
-  // user only — no walk from user 0's items can reach it.
-  UserItemGraph graph = UserItemGraph::Build(
-      4, 4,
-      {{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 0}, {2, 2}, {3, 3}});
-  ItemRank model(&graph, /*alpha=*/0.85, /*iterations=*/15);
-
-  // Restart mass keeps the user's own items on top.
-  EXPECT_GT(model.Score(0, 0), model.Score(0, 2));
-  // The co-consumed item is reachable, the disconnected item is not.
-  EXPECT_GT(model.Score(0, 2), 0.0f);
-  EXPECT_FLOAT_EQ(model.Score(0, 3), 0.0f);
-  // A different user's ranking differs (personalized walks).
-  EXPECT_GT(model.Score(3, 3), model.Score(3, 0));
 }
 
 // -- Propagation graphs -----------------------------------------------------------

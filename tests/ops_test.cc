@@ -678,51 +678,6 @@ TEST(KernelEquivalenceTest, AddActDotRowsRowIndependentOfBatch) {
   }
 }
 
-TEST(KernelEquivalenceTest, DotQ8MatchesRefExactly) {
-  Rng rng(48);
-  for (int64_t n : kKernelSizes) {
-    std::vector<int8_t> q(static_cast<size_t>(n));
-    std::vector<uint8_t> c(static_cast<size_t>(n));
-    for (int8_t& v : q) {
-      v = static_cast<int8_t>(static_cast<int64_t>(rng.NextInt(255)) - 127);
-    }
-    for (uint8_t& v : c) v = static_cast<uint8_t>(rng.NextInt(256));
-    // Integer accumulation is exact, so unlike the float kernels the
-    // vectorized and reference paths must agree bitwise.
-    EXPECT_EQ(kernels::DotQ8(q.data(), c.data(), n),
-              kernels::DotQ8Ref(q.data(), c.data(), n))
-        << "n=" << n;
-  }
-}
-
-TEST(KernelEquivalenceTest, GemvQ8MatchesRefExactly) {
-  Rng rng(49);
-  for (int64_t rows : kKernelSizes) {
-    const int64_t n = 33;
-    std::vector<uint8_t> codes(static_cast<size_t>(rows * n));
-    std::vector<int8_t> q(static_cast<size_t>(n));
-    for (uint8_t& v : codes) v = static_cast<uint8_t>(rng.NextInt(256));
-    for (int8_t& v : q) {
-      v = static_cast<int8_t>(static_cast<int64_t>(rng.NextInt(255)) - 127);
-    }
-    std::vector<int32_t> want(static_cast<size_t>(rows));
-    std::vector<int32_t> got(static_cast<size_t>(rows));
-    kernels::GemvQ8Ref(codes.data(), rows, n, q.data(), want.data());
-    kernels::GemvQ8(codes.data(), rows, n, q.data(), got.data());
-    EXPECT_EQ(got, want) << "rows=" << rows;
-  }
-}
-
-TEST(KernelEquivalenceTest, DotQ8ExtremesDoNotOverflow) {
-  // 65536 products of 127*255 is the documented worst case; the int32
-  // accumulator holds it with room to spare.
-  const int64_t n = 1 << 16;
-  std::vector<int8_t> q(static_cast<size_t>(n), int8_t{127});
-  std::vector<uint8_t> c(static_cast<size_t>(n), uint8_t{255});
-  EXPECT_EQ(kernels::DotQ8(q.data(), c.data(), n),
-            static_cast<int32_t>(n) * 127 * 255);
-}
-
 // -- Arena-backed autograd ----------------------------------------------------
 
 TEST(ArenaOpsTest, OpsAllocateFromActiveArenaAndLeafGradsStayOnHeap) {

@@ -2,9 +2,8 @@
 // docs/retrieval.md): exact-backend bitwise parity with
 // TopNRecommendations, IVF recall@100 against the exact reference for
 // every exporting factory model, live-vs-snapshot index build identity,
-// int8 quantization error bounds, degenerate catalogs, and concurrent
-// queries against one shared index (the TSan-critical sweep, via
-// tools/check.sh).
+// degenerate catalogs and non-finite rows, and concurrent queries against
+// one shared index (the TSan-critical sweep, via tools/check.sh).
 
 #include <unistd.h>
 
@@ -33,8 +32,8 @@
 #include "retrieval/exact_index.h"
 #include "retrieval/index_builder.h"
 #include "retrieval/ivf_index.h"
-#include "retrieval/quantize.h"
 #include "retrieval/two_stage.h"
+#include "tensor/kernels.h"
 
 namespace scenerec {
 namespace {
@@ -48,8 +47,6 @@ struct SupportedModel {
 
 std::vector<SupportedModel> SupportingModels() {
   return {{"BPR-MF", RetrievalFidelity::kExactScores},
-          {"GCMC", RetrievalFidelity::kExactScores},
-          {"ItemPop", RetrievalFidelity::kExactScores},
           {"NGCF", RetrievalFidelity::kFaithfulRanking},
           {"KGAT", RetrievalFidelity::kFaithfulRanking},
           {"SceneRec", RetrievalFidelity::kProxy},
@@ -59,7 +56,7 @@ std::vector<SupportedModel> SupportingModels() {
 }
 
 std::vector<std::string> NonSupportingModels() {
-  return {"NCF", "CMN", "PinSAGE", "KGCN", "ItemRank"};
+  return {"NCF", "CMN", "PinSAGE"};
 }
 
 class RetrievalTest : public ::testing::Test {
@@ -212,38 +209,6 @@ TEST_F(RetrievalTest, TwoStageFullBudgetIdenticalToTopNForAllModels) {
   }
 }
 
-// Int8 rescoring restores exact index scores: the sq8 exact backend's final
-// scores are bitwise equal to the float backend's for the items both
-// return.
-TEST_F(RetrievalTest, Sq8RescoredScoresAreExact) {
-  std::unique_ptr<Recommender> model = Make("BPR-MF");
-  ASSERT_NE(model, nullptr);
-  std::unique_ptr<ItemIndex> fp32 = BuildIndex(*model, IndexKind::kExact);
-  std::unique_ptr<ItemIndex> sq8 = BuildIndex(*model, IndexKind::kExactSq8);
-  ASSERT_NE(fp32, nullptr);
-  ASSERT_NE(sq8, nullptr);
-  std::vector<float> query(static_cast<size_t>(fp32->dim()));
-  std::vector<RetrievalCandidate> want, got;
-  SearchStats stats;
-  for (int64_t user : {int64_t{3}, int64_t{42}}) {
-    model->WriteRetrievalQuery(user, query);
-    fp32->Search(query, 20, &want);
-    sq8->Search(query, 20, &got, &stats);
-    EXPECT_GE(stats.rescored, 20);
-    std::vector<float> exact_by_item(
-        static_cast<size_t>(dataset_.num_items),
-        std::numeric_limits<float>::quiet_NaN());
-    for (const RetrievalCandidate& c : want) {
-      exact_by_item[static_cast<size_t>(c.item)] = c.score;
-    }
-    for (const RetrievalCandidate& c : got) {
-      if (std::isnan(exact_by_item[static_cast<size_t>(c.item)])) continue;
-      ASSERT_EQ(c.score, exact_by_item[static_cast<size_t>(c.item)])
-          << "item " << c.item;
-    }
-  }
-}
-
 // -- IVF: recall against the exact reference -----------------------------------
 
 // The quality protocol of the PR: for every exporting factory model, IVF
@@ -355,7 +320,7 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
   ASSERT_TRUE(WriteSnapshot(*live, "BPR-MF", /*version=*/1, path).ok());
 
   IndexBuildConfig config;
-  config.kind = IndexKind::kIvfSq8;
+  config.kind = IndexKind::kIvf;
   const IndexBuilder builder(config);
   auto live_or = builder.Build(*live);
   ASSERT_TRUE(live_or.ok()) << live_or.status().ToString();
@@ -371,7 +336,7 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
   ASSERT_NE(b, nullptr);
 
   // Same seeded k-means over the same parameters: every structure field is
-  // bit-identical, down to the int8 codes.
+  // bit-identical.
   ASSERT_EQ(a->nlist(), b->nlist());
   ASSERT_EQ(a->centroids().size(), b->centroids().size());
   for (size_t i = 0; i < a->centroids().size(); ++i) {
@@ -381,11 +346,6 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
                          b->list_offsets().begin()));
   ASSERT_TRUE(std::equal(a->list_items().begin(), a->list_items().end(),
                          b->list_items().begin()));
-  ASSERT_NE(a->quantizer(), nullptr);
-  ASSERT_NE(b->quantizer(), nullptr);
-  EXPECT_EQ(a->quantizer()->codes(), b->quantizer()->codes());
-  EXPECT_EQ(a->quantizer()->scales(), b->quantizer()->scales());
-  EXPECT_EQ(a->quantizer()->zeros(), b->quantizer()->zeros());
 
   // And the snapshot-backed index serves the same results.
   std::vector<float> query(static_cast<size_t>(a->dim()));
@@ -411,7 +371,7 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
 TEST_F(RetrievalTest, ConcurrentSearchesMatchSerialResults) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
-  std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kIvfSq8);
+  std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kIvf);
   ASSERT_NE(index, nullptr);
 
   const int64_t num_users = dataset_.num_users;
@@ -446,78 +406,12 @@ TEST_F(RetrievalTest, ConcurrentSearchesMatchSerialResults) {
   }
 }
 
-// -- Int8 quantization bounds --------------------------------------------------
-
-TEST(Sq8MatrixTest, RoundTripErrorWithinHalfScale) {
-  const int64_t rows = 50, dim = 16;
-  Rng rng(7);
-  std::vector<float> data(static_cast<size_t>(rows * dim));
-  for (float& v : data) {
-    v = static_cast<float>(rng.NextDouble() * 4.0 - 2.0);
-  }
-  // A constant column exercises the degenerate-dimension path (scale 1.0).
-  for (int64_t r = 0; r < rows; ++r) {
-    data[static_cast<size_t>(r * dim + 5)] = 0.25f;
-  }
-  Sq8Matrix m(data.data(), rows, dim);
-  ASSERT_EQ(m.num_rows(), rows);
-  ASSERT_EQ(m.dim(), dim);
-  EXPECT_EQ(m.scales()[5], 1.0f);
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t d = 0; d < dim; ++d) {
-      const float v = data[static_cast<size_t>(r * dim + d)];
-      const float bound = m.scales()[static_cast<size_t>(d)] * 0.5f + 1e-5f;
-      EXPECT_LE(std::abs(m.Dequantized(r, d) - v), bound)
-          << "row " << r << " dim " << d;
-    }
-  }
-}
-
-TEST(Sq8MatrixTest, ApproxScoreWithinAnalyticBound) {
-  const int64_t rows = 40, dim = 24;
-  Rng rng(11);
-  std::vector<float> data(static_cast<size_t>(rows * dim));
-  for (float& v : data) {
-    v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  }
-  Sq8Matrix m(data.data(), rows, dim);
-  std::vector<float> query(static_cast<size_t>(dim));
-  for (float& v : query) {
-    v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  }
-  const Sq8Matrix::EncodedQuery eq = m.EncodeQuery(query);
-
-  // Error decomposition (quantize.h): item-code error contributes at most
-  // sum_d |q_d| s_d / 2; query-code error at most qscale/2 * sum_d code_d.
-  for (int64_t r = 0; r < rows; ++r) {
-    double exact = 0.0;
-    double bound = 1e-4;
-    for (int64_t d = 0; d < dim; ++d) {
-      exact += static_cast<double>(query[static_cast<size_t>(d)]) *
-               data[static_cast<size_t>(r * dim + d)];
-      bound += 0.5 * std::abs(query[static_cast<size_t>(d)]) *
-               m.scales()[static_cast<size_t>(d)];
-      bound += 0.5 * static_cast<double>(eq.scale) *
-               m.codes()[static_cast<size_t>(r * dim + d)];
-    }
-    EXPECT_NEAR(m.Score(eq, r), exact, bound) << "row " << r;
-  }
-
-  // The batched scan is the same arithmetic as the per-row score.
-  std::vector<float> batched(static_cast<size_t>(rows));
-  m.ScoreRows(eq, 0, rows, batched.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    EXPECT_EQ(batched[static_cast<size_t>(r)], m.Score(eq, r)) << "row " << r;
-  }
-}
-
 // -- Degenerate inputs ---------------------------------------------------------
 
 TEST_F(RetrievalTest, CatalogSmallerThanKReturnsWholeCatalog) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
-  for (IndexKind kind : {IndexKind::kExact, IndexKind::kExactSq8,
-                         IndexKind::kIvf, IndexKind::kIvfSq8}) {
+  for (IndexKind kind : {IndexKind::kExact, IndexKind::kIvf}) {
     SCOPED_TRACE(IndexKindName(kind));
     std::unique_ptr<ItemIndex> index = BuildIndex(*model, kind);
     ASSERT_NE(index, nullptr);
@@ -525,7 +419,7 @@ TEST_F(RetrievalTest, CatalogSmallerThanKReturnsWholeCatalog) {
     model->WriteRetrievalQuery(0, query);
     std::vector<RetrievalCandidate> out;
     index->Search(query, 100000, &out);
-    if (kind == IndexKind::kExact || kind == IndexKind::kExactSq8) {
+    if (kind == IndexKind::kExact) {
       EXPECT_EQ(out.size(), static_cast<size_t>(dataset_.num_items));
     } else {
       // IVF still only scans the probed lists.
@@ -554,6 +448,24 @@ TEST(RetrievalEdgeTest, EmptyEmbeddingsYieldEmptyResults) {
   out = {{1, 2.0f}};
   ivf.Search(query, 10, &out);
   EXPECT_TRUE(out.empty());
+}
+
+// The int8 backends are gone: their names are refused like any unknown
+// backend, with a message naming the two that exist.
+TEST(RetrievalEdgeTest, ParseIndexKindAcceptsOnlyExactAndIvf) {
+  for (IndexKind kind : {IndexKind::kExact, IndexKind::kIvf}) {
+    auto parsed = ParseIndexKind(IndexKindName(kind));
+    ASSERT_TRUE(parsed.ok()) << IndexKindName(kind);
+    EXPECT_EQ(parsed.value(), kind);
+  }
+  for (const char* name : {"exact_sq8", "ivf_sq8", "hnsw"}) {
+    auto parsed = ParseIndexKind(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(parsed.status().message().find("(expected exact or ivf)"),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST_F(RetrievalTest, TwoStageWithFullyInteractedUser) {
@@ -607,8 +519,59 @@ void ExpectSameCandidates(const std::vector<RetrievalCandidate>& got,
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].item, want[i].item) << "rank " << i;
-    // EXPECT_EQ, not NEAR: batching queries must not change a bit.
-    ASSERT_EQ(got[i].score, want[i].score) << "rank " << i;
+    // Equal, not NEAR: batching queries must not change a bit. Two NaN
+    // scores count as equal.
+    ASSERT_TRUE(got[i].score == want[i].score ||
+                (std::isnan(got[i].score) && std::isnan(want[i].score)))
+        << "rank " << i << ": " << got[i].score << " vs " << want[i].score;
+  }
+}
+
+/// SelectTopK over the fully materialized score list of `emb` for `query`:
+/// the list every backend's selection must reproduce (kernels::Dot per row
+/// is bitwise the index scans' Gemv/GemvMulti row).
+std::vector<RetrievalCandidate> MaterializedTopK(
+    const RetrievalEmbeddings& emb, std::span<const float> query, int64_t k) {
+  std::vector<RetrievalCandidate> all;
+  all.reserve(static_cast<size_t>(emb.num_items));
+  for (int64_t i = 0; i < emb.num_items; ++i) {
+    float s = kernels::Dot(query.data(), emb.items + i * emb.dim, emb.dim);
+    if (emb.bias != nullptr) s += emb.bias[i];
+    all.push_back({i, s});
+  }
+  SelectTopK(&all, k);
+  return all;
+}
+
+/// Builds each backend over `emb` (exact, and IVF probing every list) and
+/// checks that Search and MultiSearch both return MaterializedTopK for every
+/// query of the batch `queries` with its k.
+void ExpectBackendsMatchMaterialized(const RetrievalEmbeddings& emb,
+                                     std::span<const float> queries,
+                                     std::span<const int64_t> ks) {
+  IndexBuildConfig ivf_config;
+  ivf_config.kind = IndexKind::kIvf;
+  ivf_config.nlist = 16;
+  ivf_config.nprobe = 16;
+  for (const IndexBuildConfig& config : {IndexBuildConfig{}, ivf_config}) {
+    SCOPED_TRACE(IndexKindName(config.kind));
+    auto built = IndexBuilder(config).BuildFromEmbeddings(emb);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const std::unique_ptr<ItemIndex> index = std::move(built).value();
+    std::vector<std::vector<RetrievalCandidate>> outs;
+    index->MultiSearch(queries, ks, &outs);
+    ASSERT_EQ(outs.size(), ks.size());
+    std::vector<RetrievalCandidate> got;
+    for (size_t q = 0; q < ks.size(); ++q) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      const std::span<const float> query = queries.subspan(
+          q * static_cast<size_t>(emb.dim), static_cast<size_t>(emb.dim));
+      const std::vector<RetrievalCandidate> want =
+          MaterializedTopK(emb, query, ks[q]);
+      index->Search(query, ks[q], &got);
+      ExpectSameCandidates(got, want);
+      ExpectSameCandidates(outs[q], want);
+    }
   }
 }
 
@@ -623,15 +586,18 @@ void ExpectSameCandidates(const std::vector<RetrievalCandidate>& got,
 // on both sides of every 1,024-row tile boundary (and so of every chunk
 // boundary), so equal scores meet across chunks; the ks cut through both
 // tie groups, and every batch of one to five queries must still pick the
-// tied copies lowest id first, exactly as the serial Search does.
+// tied copies lowest id first. It also holds NaN and ±inf rows at the
+// lowest ids and beside the tile boundaries, which rank after every finite
+// row (BetterCandidate). Over it, and over a catalog whose first 8 rows
+// are NaN, every backend's Search and MultiSearch must return SelectTopK
+// over the fully materialized score list.
 TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
   model->OnEvalBegin();
   const std::vector<int64_t> users = {0, 7, 13, 21, 34, 42, 55, 58, 59};
   const std::vector<int64_t> ks = {1, 5, 50, 299, 300, 100000, 17, 2, 64};
-  for (IndexKind kind : {IndexKind::kExact, IndexKind::kExactSq8,
-                         IndexKind::kIvf, IndexKind::kIvfSq8}) {
+  for (IndexKind kind : {IndexKind::kExact, IndexKind::kIvf}) {
     SCOPED_TRACE(IndexKindName(kind));
     std::unique_ptr<ItemIndex> index = BuildIndex(*model, kind);
     ASSERT_NE(index, nullptr);
@@ -657,7 +623,6 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
       ExpectSameCandidates(outs[q], want);
       EXPECT_EQ(stats[q].lists_probed, want_stats.lists_probed);
       EXPECT_EQ(stats[q].items_scanned, want_stats.items_scanned);
-      EXPECT_EQ(stats[q].rescored, want_stats.rescored);
     }
   }
 
@@ -675,6 +640,19 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   const auto place = [&](int64_t item, float value) {
     std::fill_n(items.begin() + item * kDim, kDim, value);
   };
+  // Non-finite rows: one element of a row set to NaN or ±inf makes its
+  // score NaN or ±inf under the positive queries.
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float poison[] = {kNaN, kInf, -kInf};
+  for (int64_t i = 0; i < 6; ++i) {
+    items[static_cast<size_t>(i * kDim)] = poison[i % 3];
+  }
+  for (int64_t t = 1; t < kTiles; ++t) {
+    items[static_cast<size_t>((t * kTile - 3) * kDim)] = poison[t % 3];
+    items[static_cast<size_t>((t * kTile + 2) * kDim)] = poison[(t + 1) % 3];
+  }
+  items[static_cast<size_t>((num_items - 1) * kDim)] = kInf;
   for (int64_t t = 1; t < kTiles; ++t) {
     best_copies.push_back(t * kTile - 1);
     best_copies.push_back(t * kTile);
@@ -690,40 +668,52 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   emb.items = items.data();
   const int64_t group = static_cast<int64_t>(best_copies.size());
   const std::vector<int64_t> big_ks = {
-      1, 3, group - 1, group, group + 5, 2 * group + 1, 700};
-  for (IndexKind kind : {IndexKind::kExact, IndexKind::kExactSq8}) {
-    SCOPED_TRACE(std::string("generated catalog, ") + IndexKindName(kind));
-    IndexBuildConfig config;
-    config.kind = kind;
-    auto built = IndexBuilder(config).BuildFromEmbeddings(emb);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    const std::unique_ptr<ItemIndex> index = std::move(built).value();
-    for (int64_t nq = 1; nq <= 5; ++nq) {
-      SCOPED_TRACE("nq=" + std::to_string(nq));
-      std::vector<float> queries(static_cast<size_t>(nq * kDim));
-      for (float& v : queries) v = rng.NextFloat(0.1f, 1.0f);
-      std::vector<int64_t> ks(static_cast<size_t>(nq));
-      for (int64_t q = 0; q < nq; ++q) {
-        ks[static_cast<size_t>(q)] =
-            big_ks[static_cast<size_t>((q + nq) % big_ks.size())];
-      }
-      std::vector<std::vector<RetrievalCandidate>> outs;
-      index->MultiSearch(queries, ks, &outs);
-      ASSERT_EQ(outs.size(), static_cast<size_t>(nq));
-      std::vector<RetrievalCandidate> want;
-      for (int64_t q = 0; q < nq; ++q) {
-        SCOPED_TRACE("query " + std::to_string(q));
-        index->Search(std::span<const float>(queries.data() + q * kDim,
-                                             static_cast<size_t>(kDim)),
-                      ks[static_cast<size_t>(q)], &want);
-        ExpectSameCandidates(outs[static_cast<size_t>(q)], want);
-        const size_t tied = std::min(want.size(), best_copies.size());
-        for (size_t r = 0; r < tied; ++r) {
-          ASSERT_EQ(want[r].item, best_copies[r]) << "rank " << r;
-        }
+      1, 3, group - 1, group, group + 5, 2 * group + 1, 700, num_items};
+  for (int64_t nq = 1; nq <= 5; ++nq) {
+    SCOPED_TRACE("generated catalog, nq=" + std::to_string(nq));
+    std::vector<float> queries(static_cast<size_t>(nq * kDim));
+    for (float& v : queries) v = rng.NextFloat(0.1f, 1.0f);
+    std::vector<int64_t> ks(static_cast<size_t>(nq));
+    for (int64_t q = 0; q < nq; ++q) {
+      ks[static_cast<size_t>(q)] =
+          big_ks[static_cast<size_t>((q + nq) % big_ks.size())];
+    }
+    ExpectBackendsMatchMaterialized(emb, queries, ks);
+    for (int64_t q = 0; q < nq; ++q) {
+      const std::vector<RetrievalCandidate> want = MaterializedTopK(
+          emb, std::span<const float>(queries.data() + q * kDim,
+                                      static_cast<size_t>(kDim)),
+          ks[static_cast<size_t>(q)]);
+      const size_t tied = std::min(want.size(), best_copies.size());
+      for (size_t r = 0; r < tied; ++r) {
+        ASSERT_EQ(want[r].item, best_copies[r]) << "rank " << r;
       }
     }
   }
+
+  // With k = 4 the bounded top-k's first full buffer holds only the 8 NaN
+  // rows; the finite winners further down must still be found.
+  std::vector<float> nan_items(static_cast<size_t>(5000 * kDim));
+  for (float& v : nan_items) v = rng.NextFloat(-1.0f, 1.0f);
+  for (int64_t i = 0; i < 8; ++i) {
+    nan_items[static_cast<size_t>(i * kDim + i)] = kNaN;
+  }
+  RetrievalEmbeddings nan_emb;
+  nan_emb.num_items = 5000;
+  nan_emb.dim = kDim;
+  nan_emb.fidelity = RetrievalFidelity::kExactScores;
+  nan_emb.items = nan_items.data();
+  const std::vector<float> ones(static_cast<size_t>(kDim), 1.0f);
+  const std::vector<int64_t> four = {4};
+  const std::vector<RetrievalCandidate> winners =
+      MaterializedTopK(nan_emb, ones, 4);
+  ASSERT_EQ(winners.size(), 4u);
+  for (const RetrievalCandidate& c : winners) {
+    EXPECT_GE(c.item, 8);
+    EXPECT_TRUE(std::isfinite(c.score));
+  }
+  SCOPED_TRACE("8 NaN rows first");
+  ExpectBackendsMatchMaterialized(nan_emb, ones, four);
 }
 
 TEST_F(RetrievalTest, MultiSearchEmptyBatchAndReusedOutputs) {

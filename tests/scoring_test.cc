@@ -38,17 +38,6 @@
 namespace scenerec {
 namespace {
 
-/// Every factory-constructible model: the Table 2 grid (including the
-/// SceneRec ablation variants) plus the two reference baselines.
-std::vector<std::string> AllModelNames() {
-  std::vector<std::string> names = Table2ModelNames();
-  names.push_back("KGCN");
-  names.push_back("GCMC");
-  names.push_back("ItemPop");
-  names.push_back("ItemRank");
-  return names;
-}
-
 const char* const kSceneRecVariants[] = {"SceneRec", "SceneRec-noitem",
                                          "SceneRec-nosce", "SceneRec-noatt"};
 
@@ -112,7 +101,7 @@ class ScoringTest : public ::testing::Test {
 // The core contract: out[r] of one full-catalog block is bitwise equal to
 // the per-pair Score, for every factory model (fast path or fallback).
 TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
-  for (const std::string& name : AllModelNames()) {
+  for (const std::string& name : Table2ModelNames()) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
@@ -151,7 +140,7 @@ TEST_F(ScoringTest, ScoreBlockMatchesAfterPerPairWarmedCaches) {
 
 // Edge case: an empty candidate block is a no-op for every model.
 TEST_F(ScoringTest, EmptyBlockIsNoOp) {
-  for (const std::string& name : AllModelNames()) {
+  for (const std::string& name : Table2ModelNames()) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
@@ -165,7 +154,7 @@ TEST_F(ScoringTest, EmptyBlockIsNoOp) {
 // metrics bitwise. This is the TSan-critical sweep.
 TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
   for (const char* name :
-       {"SceneRec", "SceneRec-nosce", "BPR-MF", "GCMC"}) {
+       {"SceneRec", "SceneRec-nosce", "BPR-MF", "NGCF"}) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);

@@ -25,6 +25,7 @@
 #include "graph/bipartite_graph.h"
 #include "models/factory.h"
 #include "nn/embedding.h"
+#include "nn/linear.h"
 #include "nn/snapshot.h"
 #include "tensor/tensor.h"
 
@@ -40,17 +41,6 @@ std::string TempDir() {
 void RemoveTree(const std::string& dir) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
-}
-
-/// Every factory-constructible model, including the parameter-free
-/// baselines (their snapshots have an empty manifest).
-std::vector<std::string> AllModelNames() {
-  std::vector<std::string> names = Table2ModelNames();
-  names.push_back("KGCN");
-  names.push_back("GCMC");
-  names.push_back("ItemPop");
-  names.push_back("ItemRank");
-  return names;
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -119,7 +109,7 @@ class SnapshotTest : public ::testing::Test {
 // bitwise identically to the in-RAM model the snapshot was written from —
 // per-pair and block path — for EVERY factory model.
 TEST_F(SnapshotTest, OpenedModelScoresBitwiseIdenticalForAllModels) {
-  for (const std::string& name : AllModelNames()) {
+  for (const std::string& name : Table2ModelNames()) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> writer = Make(name);
     ASSERT_NE(writer, nullptr);
@@ -308,6 +298,16 @@ TEST_F(SnapshotTest, BindRejectsShapeMismatchNamingTensorAndPath) {
   EXPECT_NE(s.message().find(path), std::string::npos);
   // All-or-nothing: the model must not be left half-bound.
   EXPECT_FALSE(big.table().borrowed());
+
+  // A snapshot with a different parameter count (one embedding table vs a
+  // layer's weight and bias) is refused before any tensor is compared.
+  Linear layer(4, 10, Activation::kNone, rng);
+  s = BindSnapshot(layer, snapshot.value());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find(path), std::string::npos);
+  EXPECT_FALSE(layer.weight().borrowed());
+  EXPECT_FALSE(layer.bias().borrowed());
 }
 
 TEST_F(SnapshotTest, OpenFromSnapshotRejectsUnknownTag) {

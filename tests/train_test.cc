@@ -1,7 +1,11 @@
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
-#include <unistd.h>
+#include <memory>
+#include <string>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
@@ -10,13 +14,21 @@
 #include "data/synthetic.h"
 #include "models/bpr_mf.h"
 #include "models/factory.h"
-#include "nn/serialization.h"
+#include "nn/snapshot.h"
 #include "tensor/ops.h"
 #include "train/grid_search.h"
 #include "train/trainer.h"
 
 namespace scenerec {
 namespace {
+
+/// Binds the snapshot at `path` zero-copy into `model`.
+void BindFromFile(const std::string& path, Recommender& model) {
+  auto snapshot = Snapshot::Open(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot.value()->tag(), model.name());
+  ASSERT_TRUE(BindSnapshot(model, snapshot.value()).ok());
+}
 
 /// End-to-end training fixture on a small but learnable dataset.
 class TrainTest : public ::testing::Test {
@@ -187,28 +199,30 @@ TEST_F(TrainTest, LrDecayTrainsAndDiffersFromConstantLr) {
 TEST_F(TrainTest, CheckpointWrittenAtBestEpoch) {
   Rng rng(11);
   BprMf model(dataset_.num_users, dataset_.num_items, 8, rng);
-  char path_template[] = "/tmp/scenerec_train_ckpt_XXXXXX";
-  const int fd = ::mkstemp(path_template);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
+  char dir_template[] = "/tmp/scenerec_train_ckpt_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
   TrainConfig config;
   config.epochs = 4;
   config.learning_rate = 5e-3f;
-  config.checkpoint_path = path_template;
+  config.snapshot_dir = dir_template;
   auto result = TrainAndEvaluate(model, split_, train_graph_, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->last_snapshot_path.empty());
+  EXPECT_EQ(result->last_snapshot_path,
+            SnapshotStore(dir_template).PathFor(result->last_snapshot_version));
 
-  // The checkpoint restores the best-validation weights into a new model,
-  // which then reproduces the reported test metrics exactly.
+  // The newest snapshot holds the best-validation weights: bound into a new
+  // model, it reproduces the reported test metrics exactly.
   Rng rng2(999);
   BprMf restored(dataset_.num_users, dataset_.num_items, 8, rng2);
-  ASSERT_TRUE(LoadCheckpoint(restored, restored.name(), path_template).ok());
+  BindFromFile(result->last_snapshot_path, restored);
   restored.OnEvalBegin();
   RankingMetrics test =
       EvaluateRanking(restored.BlockScorer(), split_.test, config.eval_k);
   EXPECT_NEAR(test.ndcg, result->test.ndcg, 1e-9);
   EXPECT_NEAR(test.hr, result->test.hr, 1e-9);
-  ::remove(path_template);
+  std::error_code ec;
+  std::filesystem::remove_all(dir_template, ec);
 }
 
 TEST_F(TrainTest, FullRankingProtocolRunsOnTrainedModel) {
@@ -338,21 +352,19 @@ TEST_F(TrainTest, NonFiniteValidationAbortsTraining) {
 }
 
 TEST_F(TrainTest, EarlyStopRestoresExactBestEpochWeights) {
-  // Run A: long horizon with early stopping and a checkpoint. Run B: fresh
+  // Run A: long horizon with early stopping and snapshots. Run B: fresh
   // identically-seeded model trained for exactly best_epoch + 1 epochs.
   // Training is deterministic, so A's restored weights must equal B's
-  // final-best weights bitwise, and the checkpoint must reproduce A's test
-  // metrics exactly.
-  char path_template[] = "/tmp/scenerec_earlystop_ckpt_XXXXXX";
-  const int fd = ::mkstemp(path_template);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
+  // final-best weights bitwise, and A's newest snapshot must reproduce A's
+  // test metrics exactly.
+  char dir_template[] = "/tmp/scenerec_earlystop_ckpt_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
 
   TrainConfig config;
   config.epochs = 30;
   config.patience = 2;
   config.learning_rate = 1e-1f;  // aggressive: plateaus (and stops) quickly
-  config.checkpoint_path = path_template;
+  config.snapshot_dir = dir_template;
   Rng rng_a(21);
   BprMf model_a(dataset_.num_users, dataset_.num_items, 8, rng_a);
   auto result_a = TrainAndEvaluate(model_a, split_, train_graph_, config);
@@ -379,11 +391,12 @@ TEST_F(TrainTest, EarlyStopRestoresExactBestEpochWeights) {
     EXPECT_EQ(params_a[i].value(), params_b[i].value()) << "param " << i;
   }
 
-  // The checkpoint (written when validation last improved) reloads into a
-  // third model that reproduces A's reported metrics exactly.
+  // The newest snapshot (written when validation last improved) binds into
+  // a third model that reproduces A's reported metrics exactly.
+  ASSERT_FALSE(result_a->last_snapshot_path.empty());
   Rng rng_c(9999);
   BprMf restored(dataset_.num_users, dataset_.num_items, 8, rng_c);
-  ASSERT_TRUE(LoadCheckpoint(restored, restored.name(), path_template).ok());
+  BindFromFile(result_a->last_snapshot_path, restored);
   restored.OnEvalBegin();
   RankingMetrics val =
       EvaluateRanking(restored.BlockScorer(), split_.validation, config.eval_k);
@@ -392,7 +405,8 @@ TEST_F(TrainTest, EarlyStopRestoresExactBestEpochWeights) {
   EXPECT_DOUBLE_EQ(val.ndcg, result_a->best_validation.ndcg);
   EXPECT_DOUBLE_EQ(test.ndcg, result_a->test.ndcg);
   EXPECT_DOUBLE_EQ(test.hr, result_a->test.hr);
-  ::remove(path_template);
+  std::error_code ec;
+  std::filesystem::remove_all(dir_template, ec);
 }
 
 TEST_F(TrainTest, GridSearchRejectsEmptyGrid) {

@@ -11,13 +11,12 @@
 # span tracing (BM_TrainEpochTrace); the disabled-mode overhead budget for
 # both layers is <1%. BENCH_scoring.json times block scoring, the only
 # scoring convention, on full ranking and Top-N for SceneRec and BPR-MF
-# (docs/serving.md). BENCH_snapshot.json pairs
-# the copying checkpoint load against the zero-copy mmap open
-# (BM_CheckpointLoadCopy vs BM_SnapshotMmapOpen) plus the crash-safe write
-# throughput of the snapshot store. BENCH_retrieval.json pairs two-stage
-# Top-N serving (BM_TopNTwoStage{Exact,Ivf,IvfSq8}, docs/retrieval.md)
+# (docs/serving.md). BENCH_snapshot.json holds
+# the zero-copy mmap open to first score (BM_SnapshotMmapOpen) and the
+# crash-safe write throughput of the snapshot store. BENCH_retrieval.json
+# pairs two-stage Top-N serving (BM_TopNTwoStage{Exact,Ivf}, docs/retrieval.md)
 # against the full-catalog block sweep (BM_TopNFullCatalogBlock) on a 50k
-# catalog — the IVF rows carry a recall_at_100 counter vs the exact backend
+# catalog — the IVF row carries a recall_at_100 counter vs the exact backend
 # — plus one-time index-build costs (BM_IndexBuild*). BENCH_serve.json is
 # the closed-loop serving-daemon load test (docs/serving.md): per-request
 # serving vs batched admission at identical results, with request-latency

@@ -139,8 +139,8 @@ echo "==> stage 3: snapshot mapping lifetime under ASan+UBSan"
 build-asan/tests/snapshot_test
 
 echo "==> stage 3: retrieval index paths under ASan+UBSan"
-# int8 code/scale buffer arithmetic, CSR inverted-list walks, k-means
-# scratch, and index-over-mmap'd-snapshot reads (a missing mapping pin on
+# The bounded top-k buffers, CSR inverted-list walks, k-means scratch,
+# and index-over-mmap'd-snapshot reads (a missing mapping pin on
 # a borrowed item table is a use-after-munmap here).
 build-asan/tests/retrieval_test
 

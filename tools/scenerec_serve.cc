@@ -510,8 +510,7 @@ int Run(int argc, char** argv) {
                  "0 = full-catalog scoring; >0 = two-stage retrieval with "
                  "this candidate budget");
   flags.AddString("retrieval", "exact",
-                  "index kind for --candidates: exact | exact_sq8 | ivf | "
-                  "ivf_sq8");
+                  "index kind for --candidates: exact | ivf");
   flags.AddInt64("requests", 2000, "requests the load driver issues");
   flags.AddInt64("clients", 4, "closed-loop client threads");
   flags.AddString("warmup", "full",

@@ -13,8 +13,8 @@
 //   scenerec_stat --socket=... --trace > trace.json      # drain live spans
 //   scenerec_stat --selftest                             # self-contained
 //
-// The selftest stands up a real Server (ItemPop on a synthetic dataset — no
-// training needed), drives traffic, and exercises every verb plus the table
+// The selftest stands up a real Server (an untrained BPR-MF on a synthetic
+// dataset — no training needed), drives traffic, and exercises every verb plus the table
 // renderer end to end over the actual unix socket.
 
 #include <chrono>
@@ -33,7 +33,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
-#include "models/item_pop.h"
+#include "models/bpr_mf.h"
 #include "serve/server.h"
 
 namespace scenerec {
@@ -346,7 +346,9 @@ int SelfTest() {
   server_config.slo_target_p99_us = 1'000'000;  // generous: stays healthy
 
   serve::Server server(server_config, graph);
-  server.Publish(std::make_shared<ItemPop>(&graph));
+  Rng model_rng(6);
+  server.Publish(std::make_shared<BprMf>(dataset->num_users,
+                                        dataset->num_items, 8, model_rng));
   server.Start();
 
   // Drive traffic so every windowed metric has samples.
@@ -364,7 +366,7 @@ int SelfTest() {
   const VarsData parsed = ParseVars(vars.value());
   STAT_REQUIRE(Get(parsed.server, "requests") >= 200);
   STAT_REQUIRE(Get(parsed.server, "published") == 1);
-  // The cache lines are always present; ItemPop serves full warm-up, so the
+  // The cache lines are always present; BPR-MF serves full warm-up, so the
   // demand-paged cache reports zero capacity and the table omits its row.
   STAT_REQUIRE(parsed.cache.count("hits") == 1);
   STAT_REQUIRE(parsed.cache.count("capacity_bytes") == 1);

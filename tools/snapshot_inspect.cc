@@ -306,10 +306,10 @@ int SelfTest(std::string dir) {
   }
   std::printf("two-stage exact retrieval identical to full-catalog top-10\n");
 
-  // Index-from-snapshot determinism: IVF+sq8 built from the live model and
+  // Index-from-snapshot determinism: IVF built from the live model and
   // from the mmap'd snapshot must be bit-identical structures.
   IndexBuildConfig ivf_config;
-  ivf_config.kind = IndexKind::kIvfSq8;
+  ivf_config.kind = IndexKind::kIvf;
   const IndexBuilder ivf_builder(ivf_config);
   auto live_or = ivf_builder.Build(served);
   if (!live_or.ok()) return Fail("live ivf build", live_or.status());
@@ -322,14 +322,16 @@ int SelfTest(std::string dir) {
       live_ivf->nlist() != snap_ivf->nlist() ||
       !std::equal(live_ivf->centroids().begin(), live_ivf->centroids().end(),
                   snap_ivf->centroids().begin()) ||
+      !std::equal(live_ivf->list_offsets().begin(),
+                  live_ivf->list_offsets().end(),
+                  snap_ivf->list_offsets().begin()) ||
       !std::equal(live_ivf->list_items().begin(),
                   live_ivf->list_items().end(),
-                  snap_ivf->list_items().begin()) ||
-      live_ivf->quantizer()->codes() != snap_ivf->quantizer()->codes()) {
+                  snap_ivf->list_items().begin())) {
     std::fprintf(stderr, "FAIL live and snapshot IVF builds differ\n");
     return 1;
   }
-  std::printf("live and snapshot ivf_sq8 builds are bit-identical\n");
+  std::printf("live and snapshot ivf builds are bit-identical\n");
 
   // Raw-table export (the --export-index path): an exact index over the
   // mapped pages serves the same candidates as the model-built one.
@@ -369,8 +371,8 @@ int main(int argc, char** argv) {
   if (args.empty()) {
     std::fprintf(stderr,
                  "usage: snapshot_inspect [--stats] <path.srsnap>\n"
-                 "       snapshot_inspect --export-index[=exact|exact_sq8|"
-                 "ivf|ivf_sq8] <path.srsnap>\n"
+                 "       snapshot_inspect --export-index[=exact|ivf] "
+                 "<path.srsnap>\n"
                  "       snapshot_inspect --selftest [dir]\n");
     return 2;
   }
