@@ -9,6 +9,11 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 
+#if defined(__x86_64__) || defined(_M_X64)
+#define SCENEREC_TOP_K_SSE2 1
+#include <emmintrin.h>
+#endif
+
 namespace scenerec {
 
 namespace {
@@ -20,53 +25,89 @@ const telemetry::Counter t_requests =
 const telemetry::Counter t_candidates =
     telemetry::RegisterCounter("serve/topn_candidates");
 // Candidates whose score was NaN or ±inf when they reached selection; they
-// rank after every finite score (see BetterRecommendation).
+// rank after every finite score (see RanksBefore).
 const telemetry::Counter t_nonfinite =
     telemetry::RegisterCounter("serve/nonfinite_scores");
 
 }  // namespace
 
+void TopK::Reset(int64_t k) {
+  SCENEREC_CHECK_GT(k, 0);
+  k_ = static_cast<size_t>(k);
+  kept_.clear();
+  kept_.reserve(2 * k_);
+  full_ = false;
+}
+
+/// Keeps the best k entries. The k-th best's score becomes the threshold
+/// only when it is finite: a non-finite k-th means fewer than k finite
+/// scores were offered, and any finite score still beats it.
+void TopK::Shrink() {
+  const auto kth = kept_.begin() + static_cast<ptrdiff_t>(k_ - 1);
+  std::nth_element(kept_.begin(), kth, kept_.end(), BetterRecommendation);
+  if (std::isfinite(kth->score)) {
+    threshold_ = kth->score;
+    full_ = true;
+  }
+  kept_.resize(k_);
+}
+
+template <typename ItemOf>
+void TopK::OfferRows(std::span<const float> scores, ItemOf item_of) {
+  size_t r = 0;
+  for (; r < scores.size() && !full_; ++r) Offer(item_of(r), scores[r]);
+#if defined(SCENEREC_TOP_K_SSE2)
+  // Full from here on: a row passes only when its score is >= the
+  // threshold, and cmpge is false for NaN lanes, exactly as in Offer. This
+  // loop runs once per scored row of every request, so skipping four rows
+  // per compare is what keeps selection far below scoring.
+  for (; r + 4 <= scores.size(); r += 4) {
+    const __m128 v = _mm_loadu_ps(scores.data() + r);
+    if (_mm_movemask_ps(_mm_cmpge_ps(v, _mm_set1_ps(threshold_))) == 0) {
+      continue;
+    }
+    for (size_t j = r; j < r + 4; ++j) Offer(item_of(j), scores[j]);
+  }
+#endif
+  for (; r < scores.size(); ++r) Offer(item_of(r), scores[r]);
+}
+
+void TopK::OfferBlock(std::span<const int64_t> items,
+                      std::span<const float> scores) {
+  SCENEREC_CHECK_EQ(items.size(), scores.size());
+  OfferRows(scores, [items](size_t r) { return items[r]; });
+}
+
+void TopK::OfferBlock(int64_t first_item, std::span<const float> scores) {
+  OfferRows(scores, [first_item](size_t r) {
+    return first_item + static_cast<int64_t>(r);
+  });
+}
+
+void TopK::Absorb(const TopK& other) {
+  for (const Recommendation& r : other.kept_) Offer(r.item, r.score);
+}
+
+void TopK::Take(std::vector<Recommendation>* out) {
+  if (kept_.size() > k_) Shrink();
+  std::sort(kept_.begin(), kept_.end(), BetterRecommendation);
+  out->assign(kept_.begin(), kept_.end());
+}
+
 void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n) {
   SCENEREC_CHECK(scored != nullptr);
-  if (n <= 0) {
+  if (n <= 0 || scored->empty()) {
     scored->clear();
     return;
   }
-  // BetterRecommendation, applied class by class: one partition moves the
-  // non-finite scores behind the finite ones (and counts them), so the
-  // finite prefix is ordered by score then item — NaN-free, a strict total
-  // order there — and the tail by item alone. Each class takes partial
-  // selection: move its winners to the front in O(candidates), then order
-  // just that prefix, so the result is exactly the first n entries a full
-  // sort under BetterRecommendation would produce.
-  const auto tail = std::partition(
-      scored->begin(), scored->end(),
-      [](const Recommendation& r) { return std::isfinite(r.score); });
-  const size_t finite = static_cast<size_t>(tail - scored->begin());
-  if (tail != scored->end()) t_nonfinite.Add(scored->size() - finite);
-  const size_t keep = std::min<size_t>(static_cast<size_t>(n), scored->size());
-  const auto select = [](auto begin, auto end, size_t k, auto better) {
-    const auto kth = begin + static_cast<ptrdiff_t>(k);
-    if (kth != end) std::nth_element(begin, kth, end, better);
-    std::sort(begin, kth, better);
-  };
-  select(scored->begin(), tail, std::min(keep, finite),
-         [](const Recommendation& a, const Recommendation& b) {
-           return a.score != b.score ? a.score > b.score : a.item < b.item;
-         });
-  if (keep > finite) {
-    select(tail, scored->end(), keep - finite,
-           [](const Recommendation& a, const Recommendation& b) {
-             return a.item < b.item;
-           });
+  TopK top(std::min<int64_t>(n, static_cast<int64_t>(scored->size())));
+  size_t nonfinite = 0;
+  for (const Recommendation& r : *scored) {
+    nonfinite += std::isfinite(r.score) ? 0 : 1;
+    top.Offer(r.item, r.score);
   }
-  scored->resize(keep);
-}
-
-std::vector<Recommendation> SelectTopN(std::vector<Recommendation> scored,
-                                       int64_t n) {
-  SelectTopNInPlace(&scored, n);
-  return scored;
+  if (nonfinite > 0) t_nonfinite.Add(nonfinite);
+  top.Take(scored);
 }
 
 void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
@@ -102,27 +143,31 @@ void ScoreAndSelectTopN(const BlockScoreFn& score, int64_t user,
   out->clear();
   if (candidates.empty() || n <= 0) return;
 
-  // Per-thread scratch: parallel evaluation and the daemon call this from
-  // several threads, and both buffers are catalog-sized.
-  thread_local std::vector<float> scores;
-  thread_local std::vector<Recommendation> scored;
-  scores.resize(candidates.size());
+  // Per-thread scratch, so that a steady-state call allocates only the
+  // winners in `*out`: parallel evaluation and the daemon call this from
+  // several threads.
+  thread_local std::vector<float> block_scores(
+      static_cast<size_t>(kScoreBlockSize));
+  thread_local TopK top;
+  top.Reset(std::min<int64_t>(n, static_cast<int64_t>(candidates.size())));
+  size_t nonfinite = 0;
   for (size_t offset = 0; offset < candidates.size();
        offset += static_cast<size_t>(kScoreBlockSize)) {
     const size_t len = std::min(static_cast<size_t>(kScoreBlockSize),
                                 candidates.size() - offset);
-    SCENEREC_TRACE_SPAN_F("serve/score_block", "serve", trace::Floor::kOp,
-                          "user=%lld candidates=%zu",
-                          static_cast<long long>(user), len);
-    score(user, candidates.subspan(offset, len),
-          std::span<float>(scores).subspan(offset, len));
+    const std::span<const int64_t> items = candidates.subspan(offset, len);
+    const std::span<float> scores(block_scores.data(), len);
+    {
+      SCENEREC_TRACE_SPAN_F("serve/score_block", "serve", trace::Floor::kOp,
+                            "user=%lld candidates=%zu",
+                            static_cast<long long>(user), len);
+      score(user, items, scores);
+    }
+    for (const float s : scores) nonfinite += std::isfinite(s) ? 0 : 1;
+    top.OfferBlock(items, scores);
   }
-  scored.clear();
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    scored.push_back({candidates[i], scores[i]});
-  }
-  SelectTopNInPlace(&scored, n);
-  out->assign(scored.begin(), scored.end());
+  if (nonfinite > 0) t_nonfinite.Add(nonfinite);
+  top.Take(out);
 }
 
 std::vector<Recommendation> TopNRecommendations(

@@ -17,12 +17,11 @@ struct Recommendation {
   float score = 0.0f;
 };
 
-/// The strict total order of every serving surface, on (score, item)
-/// pairs: finite scores descending, ties by lower item id, then every
-/// non-finite score (NaN, ±inf) by lower item id. No two distinct items
-/// compare equal, so any correct selection algorithm yields the identical
-/// top-n list. Both BetterRecommendation and retrieval's BetterCandidate
-/// are this order.
+/// The strict total order of every ranked list the library returns, on
+/// (score, item) pairs: finite scores descending, ties by lower item id,
+/// then every non-finite score (NaN, ±inf) by lower item id. No two
+/// distinct items compare equal, so any correct selection algorithm yields
+/// the identical top-n list.
 inline bool RanksBefore(float score_a, int64_t item_a, float score_b,
                         int64_t item_b) {
   // Non-finite scores form one class below every finite score, ordered by
@@ -40,18 +39,71 @@ inline bool BetterRecommendation(const Recommendation& a,
   return RanksBefore(a.score, a.item, b.score, b.item);
 }
 
-/// The partial-selection routine behind ScoreAndSelectTopN: keeps the `n`
-/// best entries of `scored` under BetterRecommendation, sorted, and counts
-/// non-finite scores in serve/nonfinite_scores.
-/// O(candidates + n log n) via nth_element — exactly the first n entries a
-/// full sort would produce. n <= 0 returns empty; n beyond the candidate
-/// count returns everything, sorted.
-std::vector<Recommendation> SelectTopN(std::vector<Recommendation> scored,
-                                       int64_t n);
+/// The one selector behind every ranked list: exact and IVF retrieval, the
+/// exact sweep's chunk merge and Top-N (ScoreAndSelectTopN) all keep their
+/// k best offers here, under BetterRecommendation.
+///
+/// Offers collect in a buffer of at most 2k entries. Whenever it fills, one
+/// nth_element keeps its best k and, once their worst score is finite, that
+/// score becomes the threshold below which later offers are dropped unseen:
+/// k kept finite entries beat them whatever their ids. The order is a
+/// strict total order, so the sorted top-k is unique, and Take() returns
+/// exactly the first k entries a full sort of everything offered would,
+/// whatever the offer order or split. A steady-state offer is one compare
+/// against the threshold, so a row below the current k-th score never
+/// becomes a Recommendation. Does not dedupe: offer each item once.
+class TopK {
+ public:
+  /// Offers nothing until Reset.
+  TopK() = default;
+  explicit TopK(int64_t k) { Reset(k); }
 
-/// SelectTopN on the caller's buffer: identical contents and order, but
-/// `*scored` shrinks in place to the winners, keeping its capacity (no
-/// per-request allocation).
+  /// Empties the buffer and starts selecting the best `k` >= 1 of the
+  /// offers that follow. The buffer reserves 2k entries and keeps its
+  /// capacity, so reuse at no larger k allocates nothing. Clamp k to the
+  /// number of entries that can be offered.
+  void Reset(int64_t k);
+
+  void Offer(int64_t item, float score) {
+    // Strictly below the finite threshold, NaN or -inf: k kept finite
+    // entries beat it. (+inf passes and the next Shrink drops it.)
+    if (full_ && !(score >= threshold_)) return;
+    kept_.push_back({item, score});
+    if (kept_.size() == 2 * k_) Shrink();
+  }
+
+  /// Offer(items[r], scores[r]) for every row, in order. On x86-64 a full
+  /// buffer tests the threshold four rows at a time (one SSE2 compare and
+  /// movemask), so four rows below it cost one compare.
+  void OfferBlock(std::span<const int64_t> items,
+                  std::span<const float> scores);
+  /// OfferBlock for the consecutive ids first_item, first_item + 1, ...
+  void OfferBlock(int64_t first_item, std::span<const float> scores);
+
+  /// Offers every entry `other` kept. Each part's kept set holds every
+  /// member of the overall top-k that was offered to it, so absorbing the
+  /// parts of a split leaves exactly the top-k of offering everything here.
+  void Absorb(const TopK& other);
+
+  /// Copies the kept entries, best first, into `*out`, replacing its
+  /// contents and reusing its capacity, so `*out` holds exactly the
+  /// winners. Reset before offering again.
+  void Take(std::vector<Recommendation>* out);
+
+ private:
+  void Shrink();
+  template <typename ItemOf>
+  void OfferRows(std::span<const float> scores, ItemOf item_of);
+
+  size_t k_ = 0;
+  std::vector<Recommendation> kept_;
+  bool full_ = false;
+  float threshold_ = 0.0f;
+};
+
+/// TopK over the caller's buffer: `*scored` becomes its `n` best entries,
+/// best first, and keeps its capacity. Counts its non-finite scores in
+/// serve/nonfinite_scores. n <= 0 leaves it empty.
 void SelectTopNInPlace(std::vector<Recommendation>* scored, int64_t n);
 
 /// The full-catalog candidate-list build step: every item `user` has NOT
@@ -67,15 +119,15 @@ void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
 
 /// The one place a Top-N list is scored and selected: every Top-N surface
 /// (both TopNRecommendations overloads, TwoStageTopN and the serving
-/// daemon) ends here. Scores `candidates` for `user` in kScoreBlockSize
-/// blocks and writes the `n` best into `*out` by partial selection —
-/// O(candidates + n log n) — ordered by BetterRecommendation, which is the
-/// list a full sort would give. `*out` is empty for n <= 0 or no
+/// daemon) ends here. Scores `candidates` for `user` one kScoreBlockSize
+/// block at a time into per-thread scratch and offers each block to a TopK
+/// of `n`, so `*out` receives the `n` best in BetterRecommendation order —
+/// the list a full sort would give. `*out` is empty for n <= 0 or no
 /// candidates, and shorter than n when there are fewer candidates.
 ///
-/// Candidates must be unique. The score buffer and the selection staging
-/// area are per-thread scratch, so a steady-state call allocates only the
-/// winners in `*out`. Counts serve/topn_requests and serve/topn_candidates.
+/// Candidates must be unique. A steady-state call allocates only the
+/// winners in `*out`. Counts serve/topn_requests, serve/topn_candidates and
+/// the non-finite scores in serve/nonfinite_scores.
 void ScoreAndSelectTopN(const BlockScoreFn& score, int64_t user,
                         std::span<const int64_t> candidates, int64_t n,
                         std::vector<Recommendation>* out);

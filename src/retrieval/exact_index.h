@@ -26,7 +26,7 @@ class ExactIndex : public ItemIndex {
   RetrievalFidelity fidelity() const override { return emb_.fidelity; }
 
   void Search(std::span<const float> query, int64_t k,
-              std::vector<RetrievalCandidate>* out,
+              std::vector<Recommendation>* out,
               SearchStats* stats = nullptr) const override;
 
   /// The shared sweep behind batched serving (serve/server.cc): ONE tiled
@@ -35,7 +35,7 @@ class ExactIndex : public ItemIndex {
   /// query. Per query the scores, ordering and selection are the exact
   /// Search path, so (*outs)[q] is bitwise Search(queries[q], ks[q]).
   void MultiSearch(std::span<const float> queries, std::span<const int64_t> ks,
-                   std::vector<std::vector<RetrievalCandidate>>* outs,
+                   std::vector<std::vector<Recommendation>>* outs,
                    std::vector<SearchStats>* stats = nullptr) const override;
 
  private:

@@ -14,17 +14,11 @@ namespace scenerec {
 // The candidate-generation half of two-stage serving (docs/retrieval.md):
 // an ItemIndex answers "which ~K items maximize query . item (+ bias)" over
 // a model's exported item-embedding matrix, without the O(catalog) exact
-// scan of TopNRecommendations. Index scores are MODEL scores only under
-// RetrievalFidelity::kExactScores; otherwise they merely rank candidates
+// scan of TopNRecommendations. It returns Recommendations whose `score` is
+// the index's inner-product score: a MODEL score only under
+// RetrievalFidelity::kExactScores; otherwise it merely ranks candidates
 // and callers rerank the survivors with exact ScoreBlock
 // (retrieval/two_stage.h).
-
-/// One retrieved candidate. `score` is the index's inner-product score —
-/// NOT necessarily the model score; see the fidelity note above.
-struct RetrievalCandidate {
-  int64_t item = 0;
-  float score = 0.0f;
-};
 
 /// Per-query work accounting, for tests/benches and the CLI summaries.
 struct SearchStats {
@@ -47,11 +41,11 @@ class ItemIndex {
   /// Fidelity declared by the exporting model.
   virtual RetrievalFidelity fidelity() const = 0;
 
-  /// Writes the (up to) `k` best candidates into `out`, in BetterCandidate
-  /// order. `query` must have dim() elements. `stats`, when non-null, is
-  /// overwritten.
+  /// Writes the (up to) `k` best candidates into `out`, best first in
+  /// BetterRecommendation order (eval/top_n.h). `query` must have dim()
+  /// elements. `stats`, when non-null, is overwritten.
   virtual void Search(std::span<const float> query, int64_t k,
-                      std::vector<RetrievalCandidate>* out,
+                      std::vector<Recommendation>* out,
                       SearchStats* stats = nullptr) const = 0;
 
   /// Batched Search: `queries` holds nq = ks.size() query vectors of dim()
@@ -65,23 +59,9 @@ class ItemIndex {
   /// cache). `stats`, when non-null, is resized to nq and overwritten.
   virtual void MultiSearch(std::span<const float> queries,
                            std::span<const int64_t> ks,
-                           std::vector<std::vector<RetrievalCandidate>>* outs,
+                           std::vector<std::vector<Recommendation>>* outs,
                            std::vector<SearchStats>* stats = nullptr) const;
 };
-
-/// The strict total order every backend returns results in: the serving
-/// order of eval/top_n.h (finite scores desc, lower item id first, then
-/// every non-finite score by id), so the exact backend's list is bitwise
-/// comparable against TopNRecommendations and a NaN row cannot break
-/// selection.
-inline bool BetterCandidate(const RetrievalCandidate& a,
-                            const RetrievalCandidate& b) {
-  return RanksBefore(a.score, a.item, b.score, b.item);
-}
-
-/// In-place partial selection of the top `k` under BetterCandidate:
-/// truncates `candidates` to min(k, size) entries, sorted.
-void SelectTopK(std::vector<RetrievalCandidate>* candidates, int64_t k);
 
 }  // namespace scenerec
 

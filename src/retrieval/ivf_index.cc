@@ -61,15 +61,29 @@ void IvfIndex::BuildCoarseQuantizer() {
   list_items_.clear();
   if (n == 0) return;
 
-  // Seeded partial Fisher-Yates picks nlist distinct seed rows — the only
-  // randomness in the build, so (embeddings, options) fully determine the
-  // structure.
+  // A row holding a NaN or ±inf element neither seeds a centroid nor enters
+  // a centroid's mean: it would make that centroid non-finite, and no
+  // assignment beats a NaN best score, so every item would pile into one
+  // list. The row still joins a list, so Search can return it, ranked last.
+  std::vector<bool> finite(static_cast<size_t>(n));
+  std::vector<int64_t> perm;  // the finite rows, ascending
+  perm.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const float* x = emb_.items + i * d;
+    finite[static_cast<size_t>(i)] =
+        std::all_of(x, x + d, [](float v) { return std::isfinite(v); });
+    if (finite[static_cast<size_t>(i)]) perm.push_back(i);
+  }
+
+  // Seeded partial Fisher-Yates picks nlist distinct finite seed rows — the
+  // only randomness in the build, so (embeddings, options) fully determine
+  // the structure. With fewer finite rows than lists, the remaining
+  // centroids stay at the origin.
   Rng rng(opt_.seed);
-  std::vector<int64_t> perm(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) perm[static_cast<size_t>(i)] = i;
-  for (int64_t i = 0; i < nlist_; ++i) {
-    const int64_t j =
-        i + static_cast<int64_t>(rng.NextInt(static_cast<uint64_t>(n - i)));
+  const int64_t num_finite = static_cast<int64_t>(perm.size());
+  for (int64_t i = 0; i < std::min(nlist_, num_finite); ++i) {
+    const int64_t j = i + static_cast<int64_t>(rng.NextInt(
+                              static_cast<uint64_t>(num_finite - i)));
     std::swap(perm[static_cast<size_t>(i)], perm[static_cast<size_t>(j)]);
     std::copy(emb_.items + perm[static_cast<size_t>(i)] * d,
               emb_.items + (perm[static_cast<size_t>(i)] + 1) * d,
@@ -93,6 +107,7 @@ void IvfIndex::BuildCoarseQuantizer() {
       kernels::Gemv(centroids_.data(), nlist_, d, x, cdots.data());
       const int64_t l = AssignList(cdots.data(), half_norms.data(), nlist_);
       assignment[static_cast<size_t>(i)] = l;
+      if (!finite[static_cast<size_t>(i)]) continue;
       counts[static_cast<size_t>(l)] += 1;
       kernels::Axpy(1.0f, x, sums.data() + l * d, d);
     }
@@ -126,7 +141,7 @@ void IvfIndex::BuildCoarseQuantizer() {
 }
 
 void IvfIndex::Search(std::span<const float> query, int64_t k,
-                      std::vector<RetrievalCandidate>* out,
+                      std::vector<Recommendation>* out,
                       SearchStats* stats) const {
   SCENEREC_CHECK_EQ(static_cast<int64_t>(query.size()), emb_.dim);
   SCENEREC_CHECK_GT(k, 0);
@@ -138,19 +153,19 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
   if (stats != nullptr) *stats = SearchStats{};
   if (emb_.num_items == 0) return;
 
-  // Rank lists by query . centroid (the MIP surrogate; SelectTopK's order
-  // makes the probe set deterministic under centroid-score ties).
+  // Rank lists by query . centroid (the MIP surrogate; the order of
+  // RanksBefore makes the probe set deterministic under centroid-score
+  // ties).
   std::vector<float> cscores(static_cast<size_t>(nlist_));
   kernels::Gemv(centroids_.data(), nlist_, emb_.dim, query.data(),
                 cscores.data());
-  std::vector<RetrievalCandidate> probe;
-  probe.reserve(static_cast<size_t>(nlist_));
-  for (int64_t l = 0; l < nlist_; ++l) {
-    probe.push_back({l, cscores[static_cast<size_t>(l)]});
-  }
-  SelectTopK(&probe, opt_.nprobe);
+  TopK probe_top(opt_.nprobe);
+  probe_top.OfferBlock(0, cscores);
+  std::vector<Recommendation> probe;
+  probe_top.Take(&probe);
 
-  for (const RetrievalCandidate& p : probe) {
+  TopK top(std::min(k, emb_.num_items));
+  for (const Recommendation& p : probe) {
     const int64_t l = p.item;
     const int64_t begin = list_offsets_[static_cast<size_t>(l)];
     const int64_t end = list_offsets_[static_cast<size_t>(l) + 1];
@@ -159,15 +174,14 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
       float s = kernels::Dot(query.data(), emb_.items + item * emb_.dim,
                              emb_.dim);
       if (emb_.bias != nullptr) s += emb_.bias[item];
-      out->push_back({item, s});
+      top.Offer(item, s);
     }
     if (stats != nullptr) {
       stats->lists_probed += 1;
       stats->items_scanned += end - begin;
     }
   }
-
-  SelectTopK(out, k);
+  top.Take(out);
 }
 
 }  // namespace scenerec

@@ -41,7 +41,7 @@ class IvfIndex : public ItemIndex {
   RetrievalFidelity fidelity() const override { return emb_.fidelity; }
 
   void Search(std::span<const float> query, int64_t k,
-              std::vector<RetrievalCandidate>* out,
+              std::vector<Recommendation>* out,
               SearchStats* stats = nullptr) const override;
 
   int64_t nlist() const { return nlist_; }

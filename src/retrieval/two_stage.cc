@@ -44,7 +44,7 @@ std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
         std::min(num_candidates + train_graph.UserDegree(user),
                  index.num_items());
   }
-  std::vector<std::vector<RetrievalCandidate>> retrieved;
+  std::vector<std::vector<Recommendation>> retrieved;
   std::vector<SearchStats> local_stats;
   if (stats == nullptr) stats = &local_stats;
   index.MultiSearch(queries, fetches, &retrieved, stats);
@@ -55,7 +55,7 @@ std::vector<std::vector<int64_t>> RetrieveCandidatesBatch(
     // survivors.
     std::vector<int64_t>& kept = ids[q];
     kept.reserve(static_cast<size_t>(num_candidates));
-    for (const RetrievalCandidate& c : retrieved[q]) {
+    for (const Recommendation& c : retrieved[q]) {
       if (static_cast<int64_t>(kept.size()) >= num_candidates) break;
       if (train_graph.HasInteraction(users[q], c.item)) continue;
       kept.push_back(c.item);
@@ -101,8 +101,8 @@ double RetrievalRecallAtK(Recommender& model, const ItemIndex& index,
   double total = 0.0;
   int64_t counted = 0;
   std::vector<float> query(static_cast<size_t>(index.dim()));
-  std::vector<RetrievalCandidate> truth;
-  std::vector<RetrievalCandidate> got;
+  std::vector<Recommendation> truth;
+  std::vector<Recommendation> got;
   for (const int64_t user : users) {
     model.WriteRetrievalQuery(user, query);
     exact.Search(query, k, &truth);
@@ -110,9 +110,9 @@ double RetrievalRecallAtK(Recommender& model, const ItemIndex& index,
     index.Search(query, k, &got);
     std::unordered_set<int64_t> got_set;
     got_set.reserve(got.size() * 2);
-    for (const RetrievalCandidate& c : got) got_set.insert(c.item);
+    for (const Recommendation& c : got) got_set.insert(c.item);
     int64_t hits = 0;
-    for (const RetrievalCandidate& c : truth) {
+    for (const Recommendation& c : truth) {
       hits += got_set.count(c.item) != 0 ? 1 : 0;
     }
     total += static_cast<double>(hits) / static_cast<double>(truth.size());

@@ -429,10 +429,11 @@ TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
 }
 
 // NaN and ±inf interleaved with tied finite scores: every non-finite score
-// ranks after all finite ones, by item id, and the partial selection equals
-// a full sort under that order for every n (NaN in the score comparison
-// would break the strict weak ordering nth_element relies on). Each call
-// counts its non-finite candidates in serve/nonfinite_scores.
+// ranks after all finite ones, by item id, and TopK returns the prefix of a
+// full sort under that order for every n, whatever the offer order and
+// however the offers are split (NaN in the score comparison would break
+// the strict weak ordering nth_element relies on). Every call of the
+// Top-N path counts its non-finite candidates in serve/nonfinite_scores.
 TEST(TopNTest, NonFiniteScoresRankLastAndMatchFullSort) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -465,9 +466,15 @@ TEST(TopNTest, NonFiniteScoresRankLastAndMatchFullSort) {
   for (const auto& [s, item] : finite) expected.push_back(item);
   expected.insert(expected.end(), nonfinite.begin(), nonfinite.end());
 
+  // Offers in a shuffled order, as parallel id and score arrays.
   std::vector<Recommendation> scored;
-  for (int64_t i = num_items - 1; i >= 0; --i) {
-    scored.push_back({i, score(0, i)});
+  for (int64_t i = 0; i < num_items; ++i) scored.push_back({i, score(0, i)});
+  Rng(17).Shuffle(scored);
+  std::vector<int64_t> ids;
+  std::vector<float> scores;
+  for (const Recommendation& r : scored) {
+    ids.push_back(r.item);
+    scores.push_back(r.score);
   }
   // The documented order itself, as a full sort.
   std::vector<Recommendation> full = scored;
@@ -475,31 +482,58 @@ TEST(TopNTest, NonFiniteScoresRankLastAndMatchFullSort) {
   for (size_t r = 0; r < full.size(); ++r) {
     ASSERT_EQ(full[r].item, expected[r]) << "rank " << r;
   }
-  telemetry::Telemetry::Reset();
-  telemetry::Telemetry::SetEnabled(true);
-  for (int64_t n : {int64_t{1}, int64_t{10},
-                    static_cast<int64_t>(finite.size()),
-                    static_cast<int64_t>(finite.size()) + 5, num_items}) {
-    SCOPED_TRACE(n);
-    const std::vector<Recommendation> got = SelectTopN(scored, n);
+  const auto expect_prefix = [&](const std::vector<Recommendation>& got,
+                                 int64_t n) {
     ASSERT_EQ(got.size(), static_cast<size_t>(n));
     for (size_t r = 0; r < got.size(); ++r) {
       ASSERT_EQ(got[r].item, expected[r]) << "rank " << r;
     }
+  };
+
+  telemetry::Telemetry::Reset();
+  telemetry::Telemetry::SetEnabled(true);
+  const auto nonfinite_counted = [] {
+    return telemetry::Telemetry::Snapshot().CounterValue(
+        "serve/nonfinite_scores");
+  };
+  UserItemGraph train = UserItemGraph::Build(1, num_items, {});
+  for (int64_t n : {int64_t{1}, int64_t{10},
+                    static_cast<int64_t>(finite.size()),
+                    static_cast<int64_t>(finite.size()) + 5, num_items}) {
+    SCOPED_TRACE(n);
+    std::vector<Recommendation> got;
+    TopK whole(n);
+    for (const Recommendation& r : scored) whole.Offer(r.item, r.score);
+    whole.Take(&got);
+    expect_prefix(got, n);
+
+    // The same offers in chunks of growing size, one TopK each, merged by
+    // Absorb as the exact sweep merges its lanes.
+    std::vector<TopK> parts;
+    for (size_t begin = 0, len = 1; begin < ids.size();
+         begin += len, len = 3 * len + 1) {
+      const size_t take = std::min(len, ids.size() - begin);
+      parts.emplace_back(n);
+      parts.back().OfferBlock(std::span(ids).subspan(begin, take),
+                              std::span(scores).subspan(begin, take));
+    }
+    for (size_t p = 1; p < parts.size(); ++p) parts[0].Absorb(parts[p]);
+    parts[0].Take(&got);
+    expect_prefix(got, n);
+
+    // End to end through the serving helper: at n below the catalog its
+    // TopK fills, so the block offer's threshold skip runs.
+    const uint64_t before = nonfinite_counted();
+    expect_prefix(TopNRecommendations(PairScorer(score), train, 0, n), n);
+    EXPECT_EQ(nonfinite_counted() - before, nonfinite.size());
   }
-  EXPECT_EQ(telemetry::Telemetry::Snapshot().CounterValue(
-                "serve/nonfinite_scores"),
-            5 * nonfinite.size());
+  std::vector<Recommendation> in_place = scored;
+  const uint64_t before = nonfinite_counted();
+  SelectTopNInPlace(&in_place, 10);
+  expect_prefix(in_place, 10);
+  EXPECT_EQ(nonfinite_counted() - before, nonfinite.size());
   telemetry::Telemetry::SetEnabled(false);
   telemetry::Telemetry::Reset();
-
-  // The serving helper takes the same order end to end.
-  UserItemGraph train = UserItemGraph::Build(1, num_items, {});
-  const auto recs = TopNRecommendations(PairScorer(score), train, 0, num_items);
-  ASSERT_EQ(recs.size(), static_cast<size_t>(num_items));
-  for (size_t r = 0; r < recs.size(); ++r) {
-    ASSERT_EQ(recs[r].item, expected[r]) << "rank " << r;
-  }
 }
 
 // -- Candidate-span overload ---------------------------------------------------

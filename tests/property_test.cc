@@ -3,8 +3,10 @@
 // tests with "for all" style guarantees on the core substrates.
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -229,6 +231,16 @@ struct GeneratorCase {
   uint64_t seed;
   JdPreset preset;
 };
+
+// Without this gtest prints the case as raw bytes, padding included, and
+// the printed value becomes part of the test name CTest registers, so the
+// names would change from build to build.
+void PrintTo(const GeneratorCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_";
+  for (const char* p = JdPresetName(c.preset); *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p))) *os << *p;
+  }
+}
 
 class GeneratorProperty : public ::testing::TestWithParam<GeneratorCase> {};
 

@@ -168,12 +168,12 @@ TEST_F(RetrievalTest, ExactIndexScoresBitwiseEqualModelScores) {
     std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kExact);
     ASSERT_NE(index, nullptr);
     std::vector<float> query(static_cast<size_t>(index->dim()));
-    std::vector<RetrievalCandidate> out;
+    std::vector<Recommendation> out;
     for (int64_t user : {int64_t{0}, int64_t{31}, int64_t{59}}) {
       model->WriteRetrievalQuery(user, query);
       index->Search(query, 50, &out);
       ASSERT_EQ(out.size(), 50u);
-      for (const RetrievalCandidate& c : out) {
+      for (const Recommendation& c : out) {
         // EXPECT_EQ, not NEAR: candidate generation must not change
         // numerics for exact-score models.
         ASSERT_EQ(c.score, model->Score(user, c.item))
@@ -252,7 +252,7 @@ TEST_F(RetrievalTest, IvfWithFullProbeMatchesExact) {
   EXPECT_EQ(ivf.nprobe(), ivf.nlist());
   std::unique_ptr<ItemIndex> exact = BuildIndex(*model, IndexKind::kExact);
   std::vector<float> query(static_cast<size_t>(exact->dim()));
-  std::vector<RetrievalCandidate> want, got;
+  std::vector<Recommendation> want, got;
   SearchStats stats;
   for (int64_t user : {int64_t{5}, int64_t{28}}) {
     model->WriteRetrievalQuery(user, query);
@@ -297,7 +297,7 @@ TEST_F(RetrievalTest, IvfStructureAndNprobeKnob) {
 
   std::vector<float> query(static_cast<size_t>(ivf.dim()));
   model->WriteRetrievalQuery(7, query);
-  std::vector<RetrievalCandidate> out;
+  std::vector<Recommendation> out;
   SearchStats narrow, wide;
   ivf.set_nprobe(1);
   ivf.Search(query, 10, &out, &narrow);
@@ -350,7 +350,7 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
   // And the snapshot-backed index serves the same results.
   std::vector<float> query(static_cast<size_t>(a->dim()));
   live->WriteRetrievalQuery(11, query);
-  std::vector<RetrievalCandidate> want, got;
+  std::vector<Recommendation> want, got;
   a->Search(query, 25, &want);
   b->Search(query, 25, &got);
   ASSERT_EQ(want.size(), got.size());
@@ -376,7 +376,7 @@ TEST_F(RetrievalTest, ConcurrentSearchesMatchSerialResults) {
 
   const int64_t num_users = dataset_.num_users;
   std::vector<std::vector<float>> queries(static_cast<size_t>(num_users));
-  std::vector<std::vector<RetrievalCandidate>> serial(
+  std::vector<std::vector<Recommendation>> serial(
       static_cast<size_t>(num_users));
   for (int64_t u = 0; u < num_users; ++u) {
     queries[u].resize(static_cast<size_t>(index->dim()));
@@ -385,7 +385,7 @@ TEST_F(RetrievalTest, ConcurrentSearchesMatchSerialResults) {
   }
 
   const int64_t kRounds = 4;
-  std::vector<std::vector<RetrievalCandidate>> parallel(
+  std::vector<std::vector<Recommendation>> parallel(
       static_cast<size_t>(num_users * kRounds));
   ThreadPool pool(4);
   pool.ParallelFor(num_users * kRounds, /*grain=*/1,
@@ -417,7 +417,7 @@ TEST_F(RetrievalTest, CatalogSmallerThanKReturnsWholeCatalog) {
     ASSERT_NE(index, nullptr);
     std::vector<float> query(static_cast<size_t>(index->dim()));
     model->WriteRetrievalQuery(0, query);
-    std::vector<RetrievalCandidate> out;
+    std::vector<Recommendation> out;
     index->Search(query, 100000, &out);
     if (kind == IndexKind::kExact) {
       EXPECT_EQ(out.size(), static_cast<size_t>(dataset_.num_items));
@@ -428,7 +428,7 @@ TEST_F(RetrievalTest, CatalogSmallerThanKReturnsWholeCatalog) {
     }
     // Strict serving order either way.
     for (size_t i = 1; i < out.size(); ++i) {
-      ASSERT_TRUE(BetterCandidate(out[i - 1], out[i])) << "rank " << i;
+      ASSERT_TRUE(BetterRecommendation(out[i - 1], out[i])) << "rank " << i;
     }
   }
 }
@@ -438,7 +438,7 @@ TEST(RetrievalEdgeTest, EmptyEmbeddingsYieldEmptyResults) {
   empty.dim = 4;
   ExactIndex exact(std::move(empty));
   std::vector<float> query(4, 1.0f);
-  std::vector<RetrievalCandidate> out = {{1, 2.0f}};
+  std::vector<Recommendation> out = {{1, 2.0f}};
   exact.Search(query, 10, &out);
   EXPECT_TRUE(out.empty());
 
@@ -514,8 +514,8 @@ TEST_F(RetrievalTest, TwoStageStatsAccounting) {
 
 // -- MultiSearch: the batched sweep must be invisible in results ---------------
 
-void ExpectSameCandidates(const std::vector<RetrievalCandidate>& got,
-                          const std::vector<RetrievalCandidate>& want) {
+void ExpectSameCandidates(const std::vector<Recommendation>& got,
+                          const std::vector<Recommendation>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].item, want[i].item) << "rank " << i;
@@ -527,19 +527,21 @@ void ExpectSameCandidates(const std::vector<RetrievalCandidate>& got,
   }
 }
 
-/// SelectTopK over the fully materialized score list of `emb` for `query`:
-/// the list every backend's selection must reproduce (kernels::Dot per row
-/// is bitwise the index scans' Gemv/GemvMulti row).
-std::vector<RetrievalCandidate> MaterializedTopK(
+/// The fully materialized score list of `emb` for `query`, fully sorted
+/// under BetterRecommendation and cut to its first k entries: the
+/// definition of the list every backend's selection must reproduce
+/// (kernels::Dot per row is bitwise the index scans' Gemv/GemvMulti row).
+std::vector<Recommendation> MaterializedTopK(
     const RetrievalEmbeddings& emb, std::span<const float> query, int64_t k) {
-  std::vector<RetrievalCandidate> all;
+  std::vector<Recommendation> all;
   all.reserve(static_cast<size_t>(emb.num_items));
   for (int64_t i = 0; i < emb.num_items; ++i) {
     float s = kernels::Dot(query.data(), emb.items + i * emb.dim, emb.dim);
     if (emb.bias != nullptr) s += emb.bias[i];
     all.push_back({i, s});
   }
-  SelectTopK(&all, k);
+  std::sort(all.begin(), all.end(), BetterRecommendation);
+  all.resize(std::min(all.size(), static_cast<size_t>(k)));
   return all;
 }
 
@@ -558,15 +560,15 @@ void ExpectBackendsMatchMaterialized(const RetrievalEmbeddings& emb,
     auto built = IndexBuilder(config).BuildFromEmbeddings(emb);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const std::unique_ptr<ItemIndex> index = std::move(built).value();
-    std::vector<std::vector<RetrievalCandidate>> outs;
+    std::vector<std::vector<Recommendation>> outs;
     index->MultiSearch(queries, ks, &outs);
     ASSERT_EQ(outs.size(), ks.size());
-    std::vector<RetrievalCandidate> got;
+    std::vector<Recommendation> got;
     for (size_t q = 0; q < ks.size(); ++q) {
       SCOPED_TRACE("query " + std::to_string(q));
       const std::span<const float> query = queries.subspan(
           q * static_cast<size_t>(emb.dim), static_cast<size_t>(emb.dim));
-      const std::vector<RetrievalCandidate> want =
+      const std::vector<Recommendation> want =
           MaterializedTopK(emb, query, ks[q]);
       index->Search(query, ks[q], &got);
       ExpectSameCandidates(got, want);
@@ -588,9 +590,11 @@ void ExpectBackendsMatchMaterialized(const RetrievalEmbeddings& emb,
 // tie groups, and every batch of one to five queries must still pick the
 // tied copies lowest id first. It also holds NaN and ±inf rows at the
 // lowest ids and beside the tile boundaries, which rank after every finite
-// row (BetterCandidate). Over it, and over a catalog whose first 8 rows
-// are NaN, every backend's Search and MultiSearch must return SelectTopK
-// over the fully materialized score list.
+// row (BetterRecommendation). Over it, and over a catalog whose first 8
+// rows are NaN, every backend's Search and MultiSearch must return the
+// fully sorted, materialized score list cut to k. An IVF index built over
+// the NaN catalog at default options must still spread the finite rows
+// over its lists: NaN rows neither seed nor move a centroid.
 TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
@@ -608,12 +612,12 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
           users[q], std::span<float>(queries.data() + q * dim,
                                      static_cast<size_t>(dim)));
     }
-    std::vector<std::vector<RetrievalCandidate>> outs;
+    std::vector<std::vector<Recommendation>> outs;
     std::vector<SearchStats> stats;
     index->MultiSearch(queries, ks, &outs, &stats);
     ASSERT_EQ(outs.size(), users.size());
     ASSERT_EQ(stats.size(), users.size());
-    std::vector<RetrievalCandidate> want;
+    std::vector<Recommendation> want;
     SearchStats want_stats;
     for (size_t q = 0; q < users.size(); ++q) {
       SCOPED_TRACE("query " + std::to_string(q));
@@ -680,7 +684,7 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
     }
     ExpectBackendsMatchMaterialized(emb, queries, ks);
     for (int64_t q = 0; q < nq; ++q) {
-      const std::vector<RetrievalCandidate> want = MaterializedTopK(
+      const std::vector<Recommendation> want = MaterializedTopK(
           emb, std::span<const float>(queries.data() + q * kDim,
                                       static_cast<size_t>(kDim)),
           ks[static_cast<size_t>(q)]);
@@ -705,15 +709,31 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   nan_emb.items = nan_items.data();
   const std::vector<float> ones(static_cast<size_t>(kDim), 1.0f);
   const std::vector<int64_t> four = {4};
-  const std::vector<RetrievalCandidate> winners =
+  const std::vector<Recommendation> winners =
       MaterializedTopK(nan_emb, ones, 4);
   ASSERT_EQ(winners.size(), 4u);
-  for (const RetrievalCandidate& c : winners) {
+  for (const Recommendation& c : winners) {
     EXPECT_GE(c.item, 8);
     EXPECT_TRUE(std::isfinite(c.score));
   }
   SCOPED_TRACE("8 NaN rows first");
   ExpectBackendsMatchMaterialized(nan_emb, ones, four);
+
+  const IvfIndex ivf(nan_emb, IvfIndex::Options{});
+  ASSERT_EQ(ivf.nlist(), 71);
+  ASSERT_EQ(ivf.nprobe(), 8);
+  for (const float c : ivf.centroids()) ASSERT_TRUE(std::isfinite(c));
+  ASSERT_EQ(ivf.list_offsets().back(), nan_emb.num_items);
+  ASSERT_EQ(ivf.list_items().size(), static_cast<size_t>(nan_emb.num_items));
+  int64_t non_empty = 0;
+  for (int64_t l = 0; l < ivf.nlist(); ++l) {
+    non_empty += ivf.list_offsets()[l + 1] > ivf.list_offsets()[l] ? 1 : 0;
+  }
+  EXPECT_GT(non_empty, 1);
+  std::vector<Recommendation> found;
+  ivf.Search(ones, 4, &found);
+  ASSERT_EQ(found.size(), 4u);
+  for (const Recommendation& c : found) EXPECT_TRUE(std::isfinite(c.score));
 }
 
 TEST_F(RetrievalTest, MultiSearchEmptyBatchAndReusedOutputs) {
@@ -722,7 +742,7 @@ TEST_F(RetrievalTest, MultiSearchEmptyBatchAndReusedOutputs) {
   std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kExact);
   ASSERT_NE(index, nullptr);
   // Stale outputs must be cleared/resized, not appended to.
-  std::vector<std::vector<RetrievalCandidate>> outs(3);
+  std::vector<std::vector<Recommendation>> outs(3);
   outs[0] = {{1, 2.0f}};
   index->MultiSearch({}, {}, &outs);
   EXPECT_TRUE(outs.empty());

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Correctness gate for the parallel execution layer, the kernel layer and
 # the persistent parameter store:
-#   1. regular build + full test suite, then snapshot_inspect --selftest
+#   1. regular build + full test suite, a build (no run) of the repository
+#      benchmark's perfbench program, then snapshot_inspect --selftest
 #      (train -> versioned snapshot write -> zero-copy open -> bitwise
 #      score check -> retrieval index over the mapping) and
 #      scenerec_serve --selftest (the binary trains through the snapshot
@@ -17,7 +18,8 @@
 #   3. ASan+UBSan build (-DSCENEREC_SANITIZE=address,undefined) + the tensor
 #      and op tests, which cover the arena allocator (manual ASan poisoning
 #      marks reset and never-allocated arena bytes as redzones) and every
-#      vectorized kernel's pointer arithmetic
+#      vectorized kernel's pointer arithmetic, and the eval tests, which
+#      hold TopK (the one selector) to a full sort
 #   4. (opt-in: SCENEREC_PERF=1) benchmark regression gate — re-measures the
 #      benchmark suites and fails via tools/bench_diff --check when any
 #      benchmark regressed past SCENEREC_PERF_THRESHOLD percent (default 20;
@@ -25,7 +27,8 @@
 #
 # Sanitizer-instrumented training is ~10x slower, so stages 2 and 3 run only
 # the binaries relevant to them, not the whole suite. Run from the repo
-# root; build trees land in build/, build-tsan/ and build-asan/.
+# root; build trees land in build/, build-perfbench/, build-tsan/ and
+# build-asan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +49,13 @@ echo "==> stage 1: regular build + ctest"
 configure build
 cmake --build build
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "==> stage 1: perfbench build (not run)"
+# The top-level build leaves perfbench/ out, so without this a change to an
+# API the benchmark program calls would pass ctest and fail only the
+# benchmark run. Its own project builds the library from this checkout.
+configure build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench --target perfbench
 
 echo "==> stage 1: snapshot store end-to-end selftest"
 # Full persistent-store chain against a freshly trained mini-model; exits
@@ -109,11 +119,17 @@ build-tsan/tools/scenerec_stat --selftest
 
 echo "==> stage 3: ASan+UBSan build"
 configure build-asan -DSCENEREC_SANITIZE=address,undefined
-cmake --build build-asan --target tensor_test ops_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
+cmake --build build-asan --target tensor_test ops_test eval_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
 
 echo "==> stage 3: tensor/op tests under ASan+UBSan"
 build-asan/tests/tensor_test
 build-asan/tests/ops_test
+
+echo "==> stage 3: top-k selection under ASan+UBSan"
+# TopK's buffer shrinks, threshold skips and chunk merges, and the Top-N
+# path's per-thread block scratch: an off-by-one in the block offer's
+# four-row stride or a stale buffer reuse reads out of bounds here.
+build-asan/tests/eval_test
 
 echo "==> stage 3: telemetry + trainer divergence tests under ASan+UBSan"
 # Thread-exit slab retirement and the NaN-injection abort paths both free /
@@ -123,8 +139,8 @@ build-asan/tests/train_test --gtest_filter='TrainTest.NonFinite*:TrainTest.Early
 
 echo "==> stage 3: block-scoring equivalence under ASan+UBSan"
 # Span/subspan chunking arithmetic and the gather-into-matrix copies in
-# every model's ScoreBlock; UBSan additionally checks the partial-selection
-# comparator for strict-weak-ordering misuse symptoms (invalid indexing).
+# every model's ScoreBlock; UBSan additionally checks TopK's comparator for
+# strict-weak-ordering misuse symptoms (invalid indexing).
 build-asan/tests/scoring_test
 
 echo "==> stage 3: trace ring + export under ASan+UBSan"
@@ -139,9 +155,10 @@ echo "==> stage 3: snapshot mapping lifetime under ASan+UBSan"
 build-asan/tests/snapshot_test
 
 echo "==> stage 3: retrieval index paths under ASan+UBSan"
-# The bounded top-k buffers, CSR inverted-list walks, k-means scratch,
-# and index-over-mmap'd-snapshot reads (a missing mapping pin on
-# a borrowed item table is a use-after-munmap here).
+# Each backend's TopK offers, the exact sweep's per-lane tiles and chunk
+# merge, CSR inverted-list walks, k-means scratch, and
+# index-over-mmap'd-snapshot reads (a missing mapping pin on a borrowed
+# item table is a use-after-munmap here).
 build-asan/tests/retrieval_test
 
 echo "==> stage 3: serving daemon under ASan+UBSan"

@@ -175,12 +175,12 @@ int ExportIndex(const std::string& path, const std::string& kind_name) {
     query[d] = snapshot->data(static_cast<size_t>(
         snapshot->FindTensor("param.1")))[d];
   }
-  std::vector<RetrievalCandidate> out;
+  std::vector<Recommendation> out;
   SearchStats stats;
   index->Search(query, 5, &out, &stats);
   std::printf("probe      top-%zu for item-0 query (%lld scanned):", out.size(),
               static_cast<long long>(stats.items_scanned));
-  for (const RetrievalCandidate& c : out) {
+  for (const Recommendation& c : out) {
     std::printf(" %lld:%.3f", static_cast<long long>(c.item), c.score);
   }
   std::printf("\n");
@@ -344,7 +344,7 @@ int SelfTest(std::string dir) {
   if (!raw_or.ok()) return Fail("raw index build", raw_or.status());
   std::vector<float> query(static_cast<size_t>(raw_or.value()->dim()));
   served.WriteRetrievalQuery(3, query);
-  std::vector<RetrievalCandidate> from_model, from_raw;
+  std::vector<Recommendation> from_model, from_raw;
   exact_or.value()->Search(query, 20, &from_model);
   raw_or.value()->Search(query, 20, &from_raw);
   if (from_model.size() != from_raw.size()) {
