@@ -11,11 +11,16 @@
 
 namespace scenerec {
 
-/// One ranked recommendation.
-struct Recommendation {
+/// One ranked recommendation: the entry type of every reply, retrieval
+/// list and TopK buffer. Packed to 12 bytes, 4-byte aligned, so a caller
+/// that keeps its replies keeps a quarter less than the padded 16-byte
+/// layout would hold. `item` may sit on a 4-byte boundary: copy it, do not
+/// take its address as an `int64_t*`.
+struct __attribute__((packed, aligned(4))) Recommendation {
   int64_t item = 0;
   float score = 0.0f;
 };
+static_assert(sizeof(Recommendation) == 12);
 
 /// The strict total order of every ranked list the library returns, on
 /// (score, item) pairs: finite scores descending, ties by lower item id,
