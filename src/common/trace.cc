@@ -1,6 +1,7 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -18,7 +19,6 @@ namespace trace {
 
 namespace internal {
 
-thread_local constinit ThreadBuffer* t_buffer = nullptr;
 thread_local constinit SpanStack t_stack{};
 
 namespace {
@@ -32,6 +32,44 @@ const telemetry::Counter t_dropped_spans =
 /// the registry mutex. Relaxed: floors are advisory, like g_enabled.
 std::atomic<uint64_t> g_op_floor_ns{TraceOptions{}.op_floor_ns};
 std::atomic<uint64_t> g_kernel_floor_ns{TraceOptions{}.kernel_floor_ns};
+
+inline constexpr size_t kArgsWords = kMaxArgsChars / sizeof(uint64_t);
+static_assert(kMaxArgsChars % sizeof(uint64_t) == 0);
+
+/// One ring slot. Only the owning thread writes it, every field through an
+/// atomic, so a reader's concurrent loads are well-defined (the owner-writes
+/// pattern of telemetry's slabs). `seq` tells a reader whether the fields it
+/// loaded belong to one span: it is odd while the owner writes the slot,
+/// and 2 * (index + 1) once the slot holds the ring's index-th span.
+/// `name`/`cat` point at static strings.
+struct SpanRecord {
+  std::atomic<uint64_t> seq{0};
+  std::atomic<const char*> name{nullptr};
+  std::atomic<const char*> cat{nullptr};
+  std::atomic<uint64_t> start_ns{0};   // since the process-wide trace epoch
+  std::atomic<uint64_t> dur_ns{0};
+  std::atomic<uint64_t> id{0};         // unique per span, never 0
+  std::atomic<uint64_t> parent_id{0};  // 0 = root
+  std::array<std::atomic<uint64_t>, kArgsWords> args{};  // NUL-terminated
+};
+
+/// Per-thread ring of finished spans. Registered once in the global
+/// registry and kept alive past thread exit so its spans survive for export.
+struct ThreadBuffer {
+  ThreadBuffer(size_t capacity, uint32_t index)
+      : records(capacity), thread_index(index) {}
+
+  std::vector<SpanRecord> records;  // ring storage, fixed at creation
+  /// Spans ever written; slot = index % size. Stored (release) after the
+  /// slot, so a reader that loads it sees every slot below it written.
+  std::atomic<uint64_t> next{0};
+  /// The reader-side mark: spans below it were drained or reset away.
+  /// Written under the registry mutex; the owner reads it to tell an
+  /// overwrite that loses a span from one that does not.
+  std::atomic<uint64_t> mark{0};
+  uint64_t next_seq = 0;  // span-id sequence, written by the owner only
+  const uint32_t thread_index;
+};
 
 /// All thread buffers ever created, behind one mutex. Buffers are owned by
 /// the registry (not the thread) so records survive thread exit for export.
@@ -53,6 +91,89 @@ std::chrono::steady_clock::time_point Epoch() {
   return epoch;
 }
 
+/// The calling thread's buffer; null until its first armed span.
+thread_local constinit ThreadBuffer* t_buffer = nullptr;
+
+ThreadBuffer& CreateBuffer() {
+  Registry& reg = GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  const uint32_t index = static_cast<uint32_t>(reg.buffers.size());
+  reg.buffers.push_back(std::make_unique<ThreadBuffer>(
+      std::max<size_t>(1, reg.options.buffer_capacity), index));
+  t_buffer = reg.buffers.back().get();
+  return *t_buffer;
+}
+
+ThreadBuffer& Buffer() {
+  ThreadBuffer* b = t_buffer;
+  return b != nullptr ? *b : CreateBuffer();
+}
+
+/// Appends a finished span to the calling thread's ring (drop-oldest).
+/// `args` holds kMaxArgsChars bytes.
+void Record(const char* name, const char* cat, uint64_t start_ns,
+            uint64_t dur_ns, uint64_t id, uint64_t parent_id,
+            const char* args) {
+  ThreadBuffer& buf = Buffer();
+  const uint64_t n = buf.next.load(std::memory_order_relaxed);
+  const uint64_t capacity = buf.records.size();
+  if (n >= capacity &&
+      n - capacity >= buf.mark.load(std::memory_order_relaxed)) {
+    // Ring full: this write overwrites a span no drain has returned.
+    t_dropped_spans.Add(1);
+  }
+  SpanRecord& rec = buf.records[n % capacity];
+  rec.seq.store(2 * n + 1, std::memory_order_relaxed);
+  // Release on every field store: a reader whose (acquire) load sees any of
+  // them then sees the odd or a later seq when it checks again. On x86 each
+  // is a plain move, and unlike a standalone fence TSan models it.
+  constexpr std::memory_order kRelease = std::memory_order_release;
+  rec.name.store(name, kRelease);
+  rec.cat.store(cat, kRelease);
+  rec.start_ns.store(start_ns, kRelease);
+  rec.dur_ns.store(dur_ns, kRelease);
+  rec.id.store(id, kRelease);
+  rec.parent_id.store(parent_id, kRelease);
+  for (size_t w = 0; w < kArgsWords; ++w) {
+    uint64_t word;
+    std::memcpy(&word, args + w * sizeof(word), sizeof(word));
+    rec.args[w].store(word, kRelease);
+  }
+  rec.seq.store(2 * (n + 1), kRelease);
+  buf.next.store(n + 1, std::memory_order_release);
+}
+
+/// Copies `rec` into `out` when it holds the ring's `index`-th span both
+/// before and after the copy; false when the owner overwrote it (or was
+/// writing it) meanwhile.
+bool ReadRecord(const SpanRecord& rec, uint64_t index, TraceSpan* out) {
+  const uint64_t want = 2 * (index + 1);
+  // Acquire on every load pairs with Record's release stores, and keeps
+  // the re-check of `seq` after the copy.
+  constexpr std::memory_order kAcquire = std::memory_order_acquire;
+  if (rec.seq.load(kAcquire) != want) return false;
+  const char* name = rec.name.load(kAcquire);
+  const char* cat = rec.cat.load(kAcquire);
+  const uint64_t start_ns = rec.start_ns.load(kAcquire);
+  const uint64_t dur_ns = rec.dur_ns.load(kAcquire);
+  const uint64_t id = rec.id.load(kAcquire);
+  const uint64_t parent_id = rec.parent_id.load(kAcquire);
+  char args[kMaxArgsChars];
+  for (size_t w = 0; w < kArgsWords; ++w) {
+    const uint64_t word = rec.args[w].load(kAcquire);
+    std::memcpy(args + w * sizeof(word), &word, sizeof(word));
+  }
+  if (rec.seq.load(std::memory_order_relaxed) != want) return false;
+  out->name = name;
+  out->cat = cat;
+  out->args.assign(args, strnlen(args, kMaxArgsChars));
+  out->start_ns = start_ns;
+  out->dur_ns = dur_ns;
+  out->id = id;
+  out->parent_id = parent_id;
+  return true;
+}
+
 }  // namespace
 
 uint64_t NowNs() {
@@ -72,39 +193,6 @@ uint64_t FloorNs(Floor floor) {
       return g_kernel_floor_ns.load(std::memory_order_relaxed);
   }
   return 0;
-}
-
-ThreadBuffer& CreateBuffer() {
-  if (t_buffer == nullptr) {
-    Registry& reg = GetRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    const uint32_t index = static_cast<uint32_t>(reg.buffers.size());
-    reg.buffers.push_back(std::make_unique<ThreadBuffer>(
-        std::max<size_t>(1, reg.options.buffer_capacity), index));
-    t_buffer = reg.buffers.back().get();
-  }
-  return *t_buffer;
-}
-
-void Record(const char* name, const char* cat, uint64_t start_ns,
-            uint64_t dur_ns, uint64_t id, uint64_t parent_id,
-            const char* args) {
-  ThreadBuffer& buf = Buffer();
-  const size_t capacity = buf.records.size();
-  if (buf.next >= capacity) {
-    // Ring full: this write overwrites the oldest retained span.
-    ++buf.dropped;
-    t_dropped_spans.Add(1);
-  }
-  SpanRecord& rec = buf.records[buf.next % capacity];
-  rec.name = name;
-  rec.cat = cat;
-  rec.start_ns = start_ns;
-  rec.dur_ns = dur_ns;
-  rec.id = id;
-  rec.parent_id = parent_id;
-  std::snprintf(rec.args, sizeof(rec.args), "%s", args);
-  ++buf.next;
 }
 
 }  // namespace internal
@@ -136,7 +224,7 @@ void SpanScope::Arm(const char* name, const char* cat, Floor floor) {
   name_ = name;
   cat_ = cat;
   floor_ns_ = internal::FloorNs(floor);
-  args_[0] = '\0';
+  std::memset(args_, 0, sizeof(args_));  // Record copies all of it
 
   internal::ThreadBuffer& buf = internal::Buffer();
   // (thread_index + 1) << 40 | per-thread sequence: unique process-wide
@@ -210,32 +298,35 @@ std::string FormatMicros(uint64_t ns) {
 
 }  // namespace
 
-TraceSnapshot Trace::Snapshot() {
+namespace {
+
+/// Drain() and Snapshot(): copies every ring's spans from the mark on, and
+/// moves the mark to the end when `advance` is set.
+TraceSnapshot Collect(bool advance) {
   internal::Registry& reg = internal::GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
   TraceSnapshot snapshot;
   for (const auto& buf : reg.buffers) {
-    snapshot.dropped_spans += buf->dropped;
-    const size_t capacity = buf->records.size();
-    const size_t count =
-        static_cast<size_t>(std::min<uint64_t>(buf->next, capacity));
-    // Oldest retained record first: slot next % capacity once wrapped.
-    const size_t first =
-        buf->next <= capacity ? 0 : static_cast<size_t>(buf->next % capacity);
-    for (size_t i = 0; i < count; ++i) {
-      const internal::SpanRecord& rec =
-          buf->records[(first + i) % capacity];
+    const uint64_t end = buf->next.load(std::memory_order_acquire);
+    const uint64_t mark = buf->mark.load(std::memory_order_relaxed);
+    const uint64_t capacity = buf->records.size();
+    const uint64_t first = std::max(mark, end > capacity ? end - capacity : 0);
+    // Newest first: the owner overwrites in index order, so a copy that
+    // went oldest first would trail a busy owner and find every slot gone,
+    // and the first slot found overwritten means every older one is too.
+    uint64_t kept = 0;
+    for (uint64_t i = end; i > first; --i) {
       TraceSpan span;
-      span.name = rec.name;
-      span.cat = rec.cat;
-      span.args = rec.args;
+      if (!internal::ReadRecord(buf->records[(i - 1) % capacity], i - 1,
+                                &span)) {
+        break;
+      }
       span.tid = buf->thread_index;
-      span.start_ns = rec.start_ns;
-      span.dur_ns = rec.dur_ns;
-      span.id = rec.id;
-      span.parent_id = rec.parent_id;
       snapshot.spans.push_back(std::move(span));
+      ++kept;
     }
+    snapshot.dropped_spans += end - mark - kept;
+    if (advance) buf->mark.store(end, std::memory_order_relaxed);
   }
   // (tid, start, longest-first, open-order) puts every parent before its
   // children, which the self-time sweep depends on.
@@ -248,6 +339,12 @@ TraceSnapshot Trace::Snapshot() {
             });
   return snapshot;
 }
+
+}  // namespace
+
+TraceSnapshot Trace::Drain() { return Collect(/*advance=*/true); }
+
+TraceSnapshot Trace::Snapshot() { return Collect(/*advance=*/false); }
 
 std::string TraceSnapshot::ToChromeJson() const {
   std::string out = "{\"traceEvents\": [\n";
@@ -394,9 +491,8 @@ void Trace::Reset() {
   internal::Registry& reg = internal::GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (const auto& buf : reg.buffers) {
-    buf->next = 0;
-    buf->dropped = 0;
-    // next_seq is intentionally not reset: span ids stay process-unique.
+    buf->mark.store(buf->next.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
   }
 }
 
@@ -413,14 +509,6 @@ Status Trace::WriteChromeTrace(const std::string& path) {
 
 std::string Trace::SelfTimeSummary(size_t top_n) {
   return Snapshot().SelfTimeSummary(top_n);
-}
-
-uint64_t Trace::DroppedSpans() {
-  internal::Registry& reg = internal::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  uint64_t dropped = 0;
-  for (const auto& buf : reg.buffers) dropped += buf->dropped;
-  return dropped;
 }
 
 }  // namespace trace

@@ -18,17 +18,18 @@ namespace trace {
 // Design in one paragraph: a span is an RAII scope (TRACE_SCOPE) carrying a
 // static name, a category, and printf-formatted args. Finished spans are
 // recorded into a per-thread fixed-capacity ring buffer — the hot path is
-// lock-free: plain stores into memory only the owning thread writes, no
-// atomics, no shared cache lines. On overflow the ring overwrites its oldest
-// record (drop-oldest) and bumps the `trace/dropped_spans` telemetry counter,
-// so a long run degrades to "most recent window" instead of stalling or
-// allocating. Export (Snapshot / WriteChromeTrace) walks every thread's
-// buffer under the registry mutex and must only run at quiescence — after
-// pool joins, like Telemetry::Reset — which is what makes the unsynchronized
-// hot-path stores well-defined. Parent/child structure comes from a
-// per-thread span stack; ThreadPool::ParallelFor propagates the dispatching
-// caller's span id into worker chunks (SpanContext/ContextGuard) so a
-// timeline nests cross-thread work under the loop that issued it.
+// lock-free: atomic stores that are plain moves on x86, into memory only the
+// owning thread writes, no read-modify-write, no shared cache lines. On
+// overflow the ring overwrites its oldest record (drop-oldest) and bumps the
+// `trace/dropped_spans` telemetry counter, so a long run degrades to "most
+// recent window" instead of stalling or allocating. Every slot carries a
+// sequence word the owner flips odd while it writes, so a reader may copy
+// the rings at any time: Drain / Snapshot keep a span only when its slot
+// held that one span from before the copy to after it, and never return a
+// torn one. Parent/child structure comes from a per-thread span stack;
+// ThreadPool::ParallelFor propagates the dispatching caller's span id into
+// worker chunks (SpanContext/ContextGuard) so a timeline nests cross-thread
+// work under the loop that issued it.
 //
 // When tracing is disabled (the default), every TRACE_SCOPE reduces to one
 // relaxed load of a global bool plus a predictable branch — measured in
@@ -64,43 +65,6 @@ namespace internal {
 inline constexpr size_t kMaxArgsChars = 48;
 inline constexpr int kMaxSpanDepth = 64;
 
-/// One finished span. `name`/`cat` must be pointers to statically allocated
-/// strings (literals): records outlive the scopes that wrote them.
-struct SpanRecord {
-  const char* name;
-  const char* cat;
-  uint64_t start_ns;  // since the process-wide trace epoch
-  uint64_t dur_ns;
-  uint64_t id;         // unique per span, never 0
-  uint64_t parent_id;  // 0 = root
-  char args[kMaxArgsChars];  // NUL-terminated formatted args, "" = none
-};
-
-/// Per-thread ring of finished spans. Only the owning thread writes; the
-/// exporter reads at quiescence. Registered once in the global registry and
-/// kept alive past thread exit so records survive for export.
-struct ThreadBuffer {
-  ThreadBuffer(size_t capacity, uint32_t index)
-      : records(capacity), thread_index(index) {}
-
-  std::vector<SpanRecord> records;  // ring storage, fixed at creation
-  uint64_t next = 0;     // total spans ever written; slot = next % size
-  uint64_t dropped = 0;  // oldest records overwritten on wrap
-  uint64_t next_seq = 0;  // span-id sequence for this thread
-  uint32_t thread_index = 0;
-};
-
-/// The calling thread's buffer; null until its first recorded span.
-extern thread_local constinit ThreadBuffer* t_buffer;
-
-/// Creates + registers this thread's buffer (idempotent), sets t_buffer.
-ThreadBuffer& CreateBuffer();
-
-inline ThreadBuffer& Buffer() {
-  ThreadBuffer* b = t_buffer;
-  return b != nullptr ? *b : CreateBuffer();
-}
-
 /// Open-span stack for parent attribution, plus the cross-thread parent
 /// installed by ContextGuard (used when the stack is empty).
 struct SpanStack {
@@ -116,11 +80,6 @@ uint64_t NowNs();
 
 /// Resolves a floor kind against the active TraceOptions.
 uint64_t FloorNs(Floor floor);
-
-/// Appends a finished span to the calling thread's ring (drop-oldest).
-void Record(const char* name, const char* cat, uint64_t start_ns,
-            uint64_t dur_ns, uint64_t id, uint64_t parent_id,
-            const char* args);
 
 }  // namespace internal
 
@@ -210,7 +169,7 @@ class SpanScope {
 
 // -- Export ------------------------------------------------------------------
 
-/// One exported span (storage-owning copy of a SpanRecord).
+/// One exported span (a storage-owning copy of a ring slot).
 struct TraceSpan {
   std::string name;
   std::string cat;
@@ -222,10 +181,12 @@ struct TraceSpan {
   uint64_t parent_id = 0;
 };
 
-/// Point-in-time copy of every thread's retained spans. Take only at
-/// quiescence (no instrumented code running concurrently).
+/// Copy of the spans every thread recorded since the drain mark (see
+/// Trace::Drain).
 struct TraceSnapshot {
   std::vector<TraceSpan> spans;  // sorted by (tid, start_ns)
+  /// Spans recorded since the mark that `spans` lacks: the rings overwrote
+  /// them before this copy could return them.
   uint64_t dropped_spans = 0;
 
   /// Chrome trace-event JSON: {"traceEvents": [...]} with ph:"X" complete
@@ -253,11 +214,18 @@ class Trace {
   static void SetEnabled(bool enabled);
   static bool Enabled() { return trace::Enabled(); }
 
-  /// Copies every thread's retained spans. Quiescence-only, like
-  /// Telemetry::Reset: callers must join/quiesce parallel work first.
+  // The three calls below share one mark per thread ring and are safe while
+  // instrumented code runs. A span that is overwritten while it is copied
+  // is skipped and counted in dropped_spans, never returned torn.
+
+  /// Returns the spans recorded since the mark and moves the mark past
+  /// them, so consecutive drains return each span at most once.
+  static TraceSnapshot Drain();
+
+  /// Returns the same spans as Drain() and leaves the mark where it is.
   static TraceSnapshot Snapshot();
 
-  /// Drops every retained span on every thread. Quiescence-only.
+  /// Moves the mark to the end: later calls see only newer spans.
   static void Reset();
 
   /// Snapshot().ToChromeJson() convenience.
@@ -268,9 +236,6 @@ class Trace {
 
   /// Snapshot().SelfTimeSummary(top_n) convenience.
   static std::string SelfTimeSummary(size_t top_n = 20);
-
-  /// Total spans lost to ring overflow across all threads.
-  static uint64_t DroppedSpans();
 };
 
 }  // namespace trace

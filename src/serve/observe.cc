@@ -1,7 +1,6 @@
 #include "serve/observe.h"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -18,15 +17,6 @@ std::string Fd(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
-}
-
-/// Microseconds with ns resolution, the unit Chrome trace events use.
-std::string Micros(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
 }
 
 void AppendHistogramJson(std::string& out, const HistogramData& data,
@@ -70,58 +60,6 @@ void AppendSloJson(std::string& out, const SloTracker::State& s) {
 }
 
 }  // namespace
-
-// -- LiveTraceRing -----------------------------------------------------------
-
-LiveTraceRing::LiveTraceRing(size_t capacity) : ring_(capacity) {
-  SCENEREC_CHECK_GE(capacity, 1u);
-}
-
-void LiveTraceRing::Record(const LiveSpan& span) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_ % ring_.size()] = span;
-  ++next_;
-  if (size_ < ring_.size()) {
-    ++size_;
-  } else {
-    ++dropped_;
-  }
-}
-
-std::vector<LiveSpan> LiveTraceRing::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LiveSpan> out;
-  out.reserve(size_);
-  for (size_t i = next_ - size_; i < next_; ++i) {
-    out.push_back(ring_[i % ring_.size()]);
-  }
-  size_ = 0;
-  return out;
-}
-
-std::string LiveTraceRing::DrainChromeJson() {
-  const std::vector<LiveSpan> spans = Drain();
-  std::string out = "[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const LiveSpan& s = spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "  {\"name\": \"" + std::string(s.name) +
-           "\", \"cat\": \"serve\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, ";
-    out += "\"ts\": " + Micros(s.start_ns) + ", ";
-    out += "\"dur\": " + Micros(s.dur_ns) + ", ";
-    out += "\"args\": {\"request_id\": " + std::to_string(s.request_id) +
-           ", \"user\": " + std::to_string(s.user) +
-           ", \"batch_seq\": " + std::to_string(s.batch_seq) +
-           ", \"batch_size\": " + std::to_string(s.batch_size) + "}}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
-uint64_t LiveTraceRing::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
 
 // -- StatsEndpoint -----------------------------------------------------------
 
@@ -193,11 +131,7 @@ StatusOr<std::string> StatsEndpoint::Handle(const std::string& verb) {
   if (verb == "metrics") return Metrics();
   if (verb == "healthz") return Healthz();
   if (verb == "vars") return Vars();
-  if (verb == "trace") {
-    LiveTraceRing* ring = server_.live_trace();
-    if (ring == nullptr) return std::string("[]\n");
-    return ring->DrainChromeJson();
-  }
+  if (verb == "trace") return trace::Trace::Drain().ToChromeJson();
   return Status::InvalidArgument(
       "unknown verb \"" + verb +
       "\" (expected stats | metrics | healthz | vars | trace)");

@@ -2,11 +2,9 @@
 #define SCENEREC_SERVE_OBSERVE_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/socket_server.h"
 #include "common/status.h"
@@ -17,53 +15,8 @@ namespace scenerec {
 namespace serve {
 
 // Live observability plane of the serving daemon (docs/observability.md,
-// "Live serving observability"): the request-scoped trace ring the `trace`
-// verb drains, and the stats endpoint that serves every verb over the
-// daemon's unix-domain socket.
-
-/// One finished span at request/batch granularity, tagged with the request
-/// id a client got back in its RequestTicket.
-struct LiveSpan {
-  const char* name = "";  ///< static string ("serve/exec", ...)
-  uint64_t start_ns = 0;  ///< trace::internal::NowNs() clock
-  uint64_t dur_ns = 0;
-  uint64_t request_id = 0;  ///< 0 for batch-level spans
-  int64_t user = 0;
-  uint64_t batch_seq = 0;
-  uint64_t batch_size = 0;
-};
-
-/// Bounded drop-oldest ring of recent LiveSpans, drainable while the
-/// daemon serves traffic. This deliberately is NOT the offline trace layer:
-/// trace::Trace uses plain-store per-thread rings whose export contract is
-/// quiescence-only, so a live `trace` verb cannot drain it without a data
-/// race. This ring trades a mutex for liveness — affordable because it is
-/// written at request granularity by the admission thread (a handful of
-/// lock acquisitions per batch), not per kernel.
-class LiveTraceRing {
- public:
-  explicit LiveTraceRing(size_t capacity);
-
-  void Record(const LiveSpan& span);
-
-  /// Removes and returns every buffered span, oldest first.
-  std::vector<LiveSpan> Drain();
-
-  /// Drain() rendered as a Chrome trace-event JSON array (the same
-  /// chrome://tracing / Perfetto format the offline exporter writes);
-  /// request id, user, and batch fields ride in "args".
-  std::string DrainChromeJson();
-
-  /// Spans overwritten before any drain saw them.
-  uint64_t dropped() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<LiveSpan> ring_;
-  size_t next_ = 0;   ///< total spans ever recorded; slot = next_ % size
-  size_t size_ = 0;   ///< live spans currently buffered
-  uint64_t dropped_ = 0;
-};
+// "Live serving observability"): the stats endpoint that serves every verb
+// over the daemon's unix-domain socket.
 
 /// The introspection server: owns the rolling-window histograms, the unix
 /// socket, and the ticker thread that rotates the window during idle.
@@ -75,7 +28,8 @@ class LiveTraceRing {
 ///   metrics  Prometheus text exposition (cumulative + windowed summaries)
 ///   healthz  readiness JSON: model published, queue accepting, SLO state
 ///   vars     flat `key value` lines (what scenerec_stat's table parses)
-///   trace    drain the live trace ring as Chrome trace JSON
+///   trace    Trace::Drain() as Chrome trace JSON: the spans every thread
+///            recorded since the last drain (no events unless tracing is on)
 class StatsEndpoint {
  public:
   StatsEndpoint(Server& server, std::string socket_path);

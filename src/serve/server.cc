@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -52,31 +52,53 @@ void AtomicMax(std::atomic<uint64_t>& cell, uint64_t v) {
   }
 }
 
+/// `config`, once ValidateServerConfig accepts it: the members built from
+/// it (the queue first) never see an out-of-range value.
+const ServerConfig& CheckedConfig(const ServerConfig& config) {
+  const Status status = ValidateServerConfig(config);
+  SCENEREC_CHECK(status.ok()) << status.ToString();
+  return config;
+}
+
 }  // namespace
 
-Server::Server(const ServerConfig& config, const UserItemGraph& train_graph)
-    : config_(config),
-      train_graph_(train_graph),
-      queue_(static_cast<size_t>(config.queue_capacity)),
-      slo_(SloConfig{
-          static_cast<uint64_t>(config.slo_target_p99_us) * 1000,
-          config.slo_error_budget}) {
-  SCENEREC_CHECK_GE(config_.top_n, 0);
-  SCENEREC_CHECK_GE(config_.max_batch, 1);
-  SCENEREC_CHECK_GE(config_.max_delay_us, 0);
-  SCENEREC_CHECK_GE(config_.num_candidates, 0);
-  SCENEREC_CHECK_GE(config_.slo_target_p99_us, 0);
-  if (config_.warmup == ServerConfig::Warmup::kLazy) {
-    SCENEREC_CHECK_GE(config_.user_cache_entries, 1);
+Status ValidateServerConfig(const ServerConfig& config) {
+  const auto at_least = [](const char* field, int64_t value,
+                           int64_t min) -> Status {
+    if (value >= min) return Status::OK();
+    return Status::InvalidArgument("ServerConfig." + std::string(field) +
+                                   " must be >= " + std::to_string(min) +
+                                   " (got " + std::to_string(value) + ")");
+  };
+  SCENEREC_RETURN_IF_ERROR(at_least("top_n", config.top_n, 0));
+  SCENEREC_RETURN_IF_ERROR(at_least("max_batch", config.max_batch, 1));
+  SCENEREC_RETURN_IF_ERROR(at_least("max_delay_us", config.max_delay_us, 0));
+  SCENEREC_RETURN_IF_ERROR(
+      at_least("queue_capacity", config.queue_capacity, 1));
+  SCENEREC_RETURN_IF_ERROR(
+      at_least("num_candidates", config.num_candidates, 0));
+  SCENEREC_RETURN_IF_ERROR(
+      at_least("slo_target_p99_us", config.slo_target_p99_us, 0));
+  if (config.warmup == ServerConfig::Warmup::kLazy) {
+    SCENEREC_RETURN_IF_ERROR(
+        at_least("user_cache_entries", config.user_cache_entries, 1));
   }
-  if (!config_.stats_socket.empty()) {
-    SCENEREC_CHECK_GE(config_.stats_window_ms, 1);
-    SCENEREC_CHECK_GE(config_.stats_window_intervals, 2);
-    SCENEREC_CHECK_GE(config_.live_trace_capacity, 1);
-    live_trace_ = std::make_unique<LiveTraceRing>(
-        static_cast<size_t>(config_.live_trace_capacity));
+  if (!config.stats_socket.empty()) {
+    SCENEREC_RETURN_IF_ERROR(
+        at_least("stats_window_ms", config.stats_window_ms, 1));
+    SCENEREC_RETURN_IF_ERROR(
+        at_least("stats_window_intervals", config.stats_window_intervals, 2));
   }
+  return Status::OK();
 }
+
+Server::Server(const ServerConfig& config, const UserItemGraph& train_graph)
+    : config_(CheckedConfig(config)),
+      train_graph_(train_graph),
+      queue_(static_cast<size_t>(config_.queue_capacity)),
+      slo_(SloConfig{
+          static_cast<uint64_t>(config_.slo_target_p99_us) * 1000,
+          config_.slo_error_budget}) {}
 
 Server::~Server() { Stop(); }
 
@@ -183,7 +205,7 @@ bool Server::TopN(int64_t user, std::vector<Recommendation>* out,
   // closed) returns in nanoseconds and must not pollute the latency
   // distribution the SLO is held against.
   const bool timed =
-      telemetry::Enabled() || live_trace_ != nullptr || slo_.enabled();
+      telemetry::Enabled() || trace::Enabled() || slo_.enabled();
   const uint64_t start_ns = timed ? trace::internal::NowNs() : 0;
   Request request;
   request.user = user;
@@ -289,10 +311,6 @@ void Server::ServeBatch(std::vector<Request>& batch) {
       const uint64_t wait =
           admit_ns > r.enqueue_ns ? admit_ns - r.enqueue_ns : 0;
       h_queue_wait_ns.Record(wait);
-      if (live_trace_ != nullptr) {
-        live_trace_->Record({"serve/queue_wait", r.enqueue_ns, wait, r.id,
-                             r.user, batch_seq, batch.size()});
-      }
     }
   }
 
@@ -336,43 +354,31 @@ void Server::ServeBatch(std::vector<Request>& batch) {
   // reply is bitwise TopNRecommendations' / TwoStageTopN's. Each reply is
   // handed over as soon as it is ready; its exec time ends there.
   const BlockScoreFn score = model->BlockScorer();
-  const uint64_t parent_span =
-      trace::Enabled() ? trace::CurrentContext().span_id : 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     Request& r = batch[i];
     Reply reply;
-    ScoreAndSelectTopN(score, r.user, candidates[i], config_.top_n,
-                       &reply.recommendations);
+    reply.batch_seq = batch_seq;
+    if (timed(r)) {
+      reply.queue_wait_ns =
+          admit_ns > r.enqueue_ns ? admit_ns - r.enqueue_ns : 0;
+    }
+    {
+      SCENEREC_TRACE_SPAN_F(
+          "serve/request", "serve", trace::Floor::kNone,
+          "req=%llu user=%lld wait_us=%llu",
+          static_cast<unsigned long long>(r.id),
+          static_cast<long long>(r.user),
+          static_cast<unsigned long long>(reply.queue_wait_ns / 1000));
+      ScoreAndSelectTopN(score, r.user, candidates[i], config_.top_n,
+                         &reply.recommendations);
+    }
     const uint64_t rows = config_.top_n > 0 ? candidates[i].size() : 0;
     t_rows.Add(rows);
     rows_scored_.fetch_add(rows, std::memory_order_relaxed);
-    reply.batch_seq = batch_seq;
     if (timed(r)) {
       const uint64_t end_ns = trace::internal::NowNs();
-      reply.queue_wait_ns =
-          admit_ns > r.enqueue_ns ? admit_ns - r.enqueue_ns : 0;
       reply.exec_ns = end_ns > admit_ns ? end_ns - admit_ns : 0;
       h_exec_ns.Record(reply.exec_ns);
-      if (live_trace_ != nullptr) {
-        live_trace_->Record({"serve/exec", admit_ns, reply.exec_ns, r.id,
-                             r.user, batch_seq, batch.size()});
-      }
-      // A request-scoped span in the OFFLINE trace too: a synthetic child
-      // of the enclosing serve/batch span, so a post-run Chrome trace
-      // shows per request who waited and who rode which batch.
-      if (trace::Enabled()) {
-        trace::internal::ThreadBuffer& buf = trace::internal::Buffer();
-        const uint64_t span_id =
-            (static_cast<uint64_t>(buf.thread_index + 1) << 40) |
-            ++buf.next_seq;
-        char args[trace::internal::kMaxArgsChars];
-        std::snprintf(args, sizeof(args), "req=%llu user=%lld",
-                      static_cast<unsigned long long>(r.id),
-                      static_cast<long long>(r.user));
-        trace::internal::Record("serve/request", "serve", r.enqueue_ns,
-                                end_ns - r.enqueue_ns, span_id, parent_span,
-                                args);
-      }
     }
     r.result.set_value(std::move(reply));
   }

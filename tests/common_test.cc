@@ -1,8 +1,12 @@
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -532,6 +536,95 @@ TEST(UnixSocketServerTest, ConcurrentClientsEachGetTheirReply) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Malformed request frames: each gets an error or no reply, never a crash,
+// and the server answers the next well-formed request.
+
+/// A server whose only verb is "ok"; any other verb gets an ERR frame that
+/// quotes it, as the stats endpoint's does.
+Status StartOkServer(UnixSocketServer& server, const std::string& path) {
+  return server.Start(
+      path, [](const std::string& verb) -> StatusOr<std::string> {
+        if (verb == "ok") return std::string("fine");
+        return Status::InvalidArgument("unknown verb \"" + verb + "\"");
+      });
+}
+
+/// Sends `bytes` as they are on a fresh connection, half-closes the write
+/// side when `half_close` is set, and returns what the server sent before
+/// it closed. IOError when it reset the connection or sent nothing.
+StatusOr<std::string> RawExchange(const std::string& path,
+                                  const std::string& bytes, bool half_close) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Status::IOError("socket");
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string reply;
+  Status status = Status::OK();
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
+          0 ||
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(bytes.size())) {
+    status = Status::IOError(std::strerror(errno));
+  }
+  if (status.ok() && half_close) ::shutdown(fd, SHUT_WR);
+  char buf[256];
+  while (status.ok()) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno != EINTR) status = Status::IOError(std::strerror(errno));
+      continue;
+    }
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  if (reply.empty()) return Status::IOError("closed without a reply");
+  return reply;
+}
+
+void ExpectNextRequestServed(const std::string& path) {
+  auto reply = UnixSocketRequest(path, "ok");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value(), "fine");
+}
+
+TEST(UnixSocketServerTest, OverlongVerbWithoutLineFeedIsDropped) {
+  const std::string path = TestSocketPath("overlong");
+  UnixSocketServer server;
+  ASSERT_TRUE(StartOkServer(server, path).ok());
+  // Twice the request-line cap and no LF: the server stops reading at the
+  // cap and closes without a reply.
+  EXPECT_FALSE(RawExchange(path, std::string(2048, 'a'), false).ok());
+  ExpectNextRequestServed(path);
+}
+
+TEST(UnixSocketServerTest, BinaryVerbGetsAnErrFrame) {
+  const std::string path = TestSocketPath("binary_verb");
+  UnixSocketServer server;
+  ASSERT_TRUE(StartOkServer(server, path).ok());
+  auto reply =
+      RawExchange(path, std::string("\0\xff\x01verb\n", 8), false);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().rfind("ERR ", 0), 0u) << reply.value();
+  EXPECT_EQ(reply.value().back(), '\n');
+  // The client side surfaces the same frame as a non-OK Status.
+  EXPECT_FALSE(UnixSocketRequest(path, std::string("\0\xff\x01verb", 7)).ok());
+  ExpectNextRequestServed(path);
+}
+
+TEST(UnixSocketServerTest, VerbCutOffByHalfCloseGetsNoReply) {
+  const std::string path = TestSocketPath("half_close");
+  UnixSocketServer server;
+  ASSERT_TRUE(StartOkServer(server, path).ok());
+  // A valid verb whose LF never comes: the server sees EOF mid-line.
+  EXPECT_FALSE(RawExchange(path, "ok", /*half_close=*/true).ok());
+  ExpectNextRequestServed(path);
 }
 
 TEST(UnixSocketServerTest, StopUnlinksPathAndAllowsRestart) {

@@ -12,11 +12,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <numeric>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "common/rng.h"
 #include "common/socket_server.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/top_n.h"
@@ -135,6 +138,52 @@ TEST(MpmcQueueTest, ConcurrentProducersAndConsumersDeliverEachItemOnce) {
 }
 
 // -- Serving daemon ------------------------------------------------------------
+
+// Each out-of-range field is refused with a Status that names it, so a
+// binary can reject its flags before it builds a Server; the fields of a
+// mode that is off are not checked.
+TEST(ServerConfigTest, ValidateRefusesEachOutOfRangeFieldByName) {
+  EXPECT_TRUE(serve::ValidateServerConfig(serve::ServerConfig()).ok());
+  using Set = void (*)(serve::ServerConfig&);
+  const std::pair<const char*, Set> cases[] = {
+      {"top_n", [](serve::ServerConfig& c) { c.top_n = -1; }},
+      {"max_batch", [](serve::ServerConfig& c) { c.max_batch = 0; }},
+      {"max_delay_us", [](serve::ServerConfig& c) { c.max_delay_us = -1; }},
+      {"queue_capacity", [](serve::ServerConfig& c) { c.queue_capacity = 0; }},
+      {"num_candidates", [](serve::ServerConfig& c) { c.num_candidates = -1; }},
+      {"slo_target_p99_us",
+       [](serve::ServerConfig& c) { c.slo_target_p99_us = -1; }},
+      {"user_cache_entries",
+       [](serve::ServerConfig& c) {
+         c.warmup = serve::ServerConfig::Warmup::kLazy;
+         c.user_cache_entries = 0;
+       }},
+      {"stats_window_ms",
+       [](serve::ServerConfig& c) {
+         c.stats_socket = "stats.sock";
+         c.stats_window_ms = 0;
+       }},
+      {"stats_window_intervals",
+       [](serve::ServerConfig& c) {
+         c.stats_socket = "stats.sock";
+         c.stats_window_intervals = 1;
+       }},
+  };
+  for (const auto& [field, set] : cases) {
+    serve::ServerConfig config;
+    set(config);
+    const Status status = serve::ValidateServerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.ToString().find("ServerConfig." + std::string(field) +
+                                     " must be"),
+              std::string::npos)
+        << status.ToString();
+  }
+  serve::ServerConfig unused;
+  unused.user_cache_entries = 0;  // full warm-up
+  unused.stats_window_ms = 0;     // no stats socket
+  EXPECT_TRUE(serve::ValidateServerConfig(unused).ok());
+}
 
 constexpr int64_t kTopN = 8;
 constexpr int64_t kCandidates = 16;
@@ -716,10 +765,15 @@ TEST_F(ServeTest, UntimedRequestBehindTimedOneReportsNoQueueWait) {
 }
 
 // The stats endpoint answers every verb — in process and over the real
-// socket — while results stay bitwise identical to the library path.
+// socket — while results stay bitwise identical to the library path. With
+// tracing on, the `trace` verb drains the trace rings while a client is
+// still issuing requests, and every `serve/request` span nests in the
+// `serve/batch` span that served it.
 TEST_F(ServeTest, StatsEndpointServesVerbsWithBitwiseIdenticalResults) {
   telemetry::Telemetry::Reset();
   telemetry::Telemetry::SetEnabled(true);
+  trace::Trace::Start();
+  trace::Trace::Reset();
   std::shared_ptr<Recommender> model = MakeModel("BPR-MF", 63);
   ASSERT_NE(model, nullptr);
   const auto expected = FullCatalogExpected(*model);
@@ -748,15 +802,36 @@ TEST_F(ServeTest, StatsEndpointServesVerbsWithBitwiseIdenticalResults) {
   EXPECT_NE(metrics.value().find("scenerec_window_serve_request_ns"),
             std::string::npos);
   EXPECT_FALSE(server.stats_endpoint()->Handle("bogus").ok());
+  // A binary verb is refused like any unknown one, and the next verb works.
+  EXPECT_FALSE(
+      server.stats_endpoint()->Handle(std::string("\0\xff\x01verb", 7)).ok());
+  EXPECT_TRUE(server.stats_endpoint()->Handle("healthz").ok());
 
   auto vars = UnixSocketRequest(config.stats_socket, "vars");
   ASSERT_TRUE(vars.ok()) << vars.status().ToString();
   EXPECT_NE(vars.value().find("server requests "), std::string::npos);
   EXPECT_GT(WindowCount(vars.value(), "serve/request_ns"), 0);
-  auto trace = UnixSocketRequest(config.stats_socket, "trace");
-  ASSERT_TRUE(trace.ok());
-  EXPECT_NE(trace.value().find("serve/exec"), std::string::npos);
-  EXPECT_NE(trace.value().find("request_id"), std::string::npos);
+
+  // Scrape `trace` while a client keeps issuing requests.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> served{0};
+  std::thread client([&] {
+    std::vector<Recommendation> got;
+    for (int64_t u = 0; !stop.load(); u = (u + 1) % dataset_.num_users) {
+      if (server.TopN(u, &got)) served.fetch_add(1);
+    }
+  });
+  while (served.load() < 10) std::this_thread::yield();
+  auto scraped = UnixSocketRequest(config.stats_socket, "trace");
+  const uint64_t scraped_at = served.load();
+  while (served.load() < scraped_at + 10) std::this_thread::yield();
+  stop.store(true);
+  client.join();
+  trace::Trace::Stop();
+  ASSERT_TRUE(scraped.ok()) << scraped.status().ToString();
+  EXPECT_EQ(scraped.value().rfind("{\"traceEvents\": [", 0), 0u);
+  EXPECT_NE(scraped.value().find("\"serve/request\""), std::string::npos);
+  EXPECT_NE(scraped.value().find("req="), std::string::npos);
 
   // After one full idle window the windowed view is empty again, while the
   // cumulative totals persist.
@@ -769,6 +844,30 @@ TEST_F(ServeTest, StatsEndpointServesVerbsWithBitwiseIdenticalResults) {
 
   server.Stop();
   EXPECT_FALSE(UnixSocketRequest(config.stats_socket, "vars").ok());
+
+  // With the admission loop joined, every batch span has closed: each
+  // request span the scrape left behind lies inside its parent batch span,
+  // on the same thread, and names its request, user and queue wait.
+  const trace::TraceSnapshot rest = trace::Trace::Drain();
+  std::map<uint64_t, const trace::TraceSpan*> by_id;
+  for (const trace::TraceSpan& s : rest.spans) by_id[s.id] = &s;
+  size_t requests = 0;
+  for (const trace::TraceSpan& s : rest.spans) {
+    if (s.name != "serve/request") continue;
+    ++requests;
+    const auto parent = by_id.find(s.parent_id);
+    ASSERT_NE(parent, by_id.end()) << s.args;
+    const trace::TraceSpan& batch = *parent->second;
+    EXPECT_EQ(batch.name, "serve/batch");
+    EXPECT_EQ(batch.tid, s.tid);
+    EXPECT_GE(s.start_ns, batch.start_ns);
+    EXPECT_LE(s.start_ns + s.dur_ns, batch.start_ns + batch.dur_ns);
+    for (const char* key : {"req=", "user=", "wait_us="}) {
+      EXPECT_NE(s.args.find(key), std::string::npos) << s.args;
+    }
+  }
+  EXPECT_GT(requests, 0u);
+  trace::Trace::Reset();
   telemetry::Telemetry::SetEnabled(false);
   telemetry::Telemetry::Reset();
 }

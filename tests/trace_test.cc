@@ -1,7 +1,8 @@
 // Tests for the span-tracing layer (common/trace.h): ring-buffer overflow
-// semantics, parent attribution across ThreadPool workers (the TSan-critical
-// path), duration floors, disabled-mode no-ops, and the Chrome trace-event
-// export produced by a real multi-threaded training run.
+// semantics, the drain mark, drains racing live writers and parent
+// attribution across ThreadPool workers (the TSan-critical paths), duration
+// floors, disabled-mode no-ops, and the Chrome trace-event export produced
+// by a real multi-threaded training run.
 
 #include "common/trace.h"
 
@@ -60,6 +61,10 @@ const TraceSpan* FindById(const TraceSnapshot& snap, uint64_t id) {
   return nullptr;
 }
 
+uint64_t DroppedCounter() {
+  return telemetry::Telemetry::Snapshot().CounterValue("trace/dropped_spans");
+}
+
 TEST_F(TraceTest, DisabledScopesAreNoops) {
   Trace::Stop();
   {
@@ -105,30 +110,123 @@ TEST_F(TraceTest, RingOverflowDropsOldestAndCountsDrops) {
   Trace::Start(tiny);
   Trace::Reset();
   // Options apply to buffers created after Start, so record from a fresh
-  // thread whose ring is guaranteed to have the tiny capacity.
-  std::thread recorder([] {
+  // thread whose ring is guaranteed to have the tiny capacity. It records
+  // 20 spans, waits for the drain below, then records 8 more.
+  std::atomic<int> phase{0};
+  std::thread recorder([&phase] {
     for (int i = 0; i < 20; ++i) {
       trace::SpanScope span("trace_test/overflow", "test", trace::Floor::kNone,
                             "i=%d", i);
     }
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+    for (int i = 20; i < 28; ++i) {
+      trace::SpanScope span("trace_test/overflow", "test", trace::Floor::kNone,
+                            "i=%d", i);
+    }
   });
-  recorder.join();
+  while (phase.load() != 1) std::this_thread::yield();
 
-  const TraceSnapshot snap = Trace::Snapshot();
+  const TraceSnapshot snap = Trace::Drain();
   const auto retained = SpansNamed(snap, "trace_test/overflow");
   ASSERT_EQ(retained.size(), 8u);
   // Drop-oldest: the survivors are exactly the 8 most recent spans, in order.
   for (size_t i = 0; i < retained.size(); ++i) {
     EXPECT_EQ(retained[i]->args, "i=" + std::to_string(12 + i));
   }
-  EXPECT_EQ(Trace::DroppedSpans(), 12u);
   EXPECT_EQ(snap.dropped_spans, 12u);
   // The drops are also visible as a telemetry counter, so a telemetry dump
   // flags a truncated trace even when nobody looks at the trace itself.
-  const telemetry::TelemetrySnapshot tsnap = telemetry::Telemetry::Snapshot();
-  EXPECT_EQ(tsnap.CounterValue("trace/dropped_spans"), 12u);
+  EXPECT_EQ(DroppedCounter(), 12u);
+
+  // The next 8 spans overwrite only drained ones, so nothing more is lost.
+  phase.store(2);
+  recorder.join();
+  const TraceSnapshot next = Trace::Drain();
+  const auto refilled = SpansNamed(next, "trace_test/overflow");
+  ASSERT_EQ(refilled.size(), 8u);
+  EXPECT_EQ(refilled.front()->args, "i=20");
+  EXPECT_EQ(next.dropped_spans, 0u);
+  EXPECT_EQ(DroppedCounter(), 12u);
   telemetry::Telemetry::SetEnabled(false);
   telemetry::Telemetry::Reset();
+}
+
+// One mark per ring drives all three readers: Snapshot leaves it, Drain
+// moves it past what it returned, Reset moves it to the end.
+TEST_F(TraceTest, SnapshotKeepsTheMarkDrainAdvancesItResetSkipsToTheEnd) {
+  for (int i = 0; i < 3; ++i) {
+    TRACE_SCOPE_F("trace_test/mark", "i=%d", i);
+  }
+  EXPECT_EQ(SpansNamed(Trace::Snapshot(), "trace_test/mark").size(), 3u);
+  EXPECT_EQ(SpansNamed(Trace::Snapshot(), "trace_test/mark").size(), 3u);
+  EXPECT_EQ(SpansNamed(Trace::Drain(), "trace_test/mark").size(), 3u);
+  EXPECT_TRUE(Trace::Drain().spans.empty());
+  { TRACE_SCOPE("trace_test/mark"); }
+  Trace::Reset();
+  EXPECT_TRUE(Trace::Snapshot().spans.empty());
+  { TRACE_SCOPE("trace_test/mark"); }
+  const TraceSnapshot last = Trace::Drain();
+  EXPECT_EQ(SpansNamed(last, "trace_test/mark").size(), 1u);
+  EXPECT_EQ(last.dropped_spans, 0u);
+}
+
+// The live drain: four writers record into small rings while this thread
+// drains in a loop, so drains copy slots their owners may be overwriting.
+// Every drained span is intact (a fresh thread's k-th span has id sequence
+// k and args "i=k"), none is returned twice, and the drained spans plus
+// the reported drops account for every span recorded.
+TEST_F(TraceTest, DrainWhileWritersRecordReturnsEachIntactSpanOnce) {
+  trace::TraceOptions small;
+  small.buffer_capacity = 256;
+  Trace::Start(small);
+  Trace::Reset();
+  constexpr int kWriters = 4;
+  constexpr uint64_t kSpansPerWriter = 20000;
+  std::atomic<int> ready{0};
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ready, &running] {
+      for (uint64_t k = 1; k <= kSpansPerWriter; ++k) {
+        trace::SpanScope span("trace_test/live", "test", trace::Floor::kNone,
+                              "i=%llu", static_cast<unsigned long long>(k));
+        if (k == 1) ready.fetch_add(1);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // A thread's first span creates its ring under the registry mutex, which
+  // a tight drain loop would hold nearly all the time: start draining once
+  // every ring exists, so the drains overlap the writes.
+  while (ready.load() < kWriters) std::this_thread::yield();
+
+  constexpr uint64_t kSeqMask = (uint64_t{1} << 40) - 1;
+  std::set<uint64_t> ids;
+  uint64_t drained = 0;
+  uint64_t dropped = 0;
+  uint64_t torn = 0;
+  uint64_t repeated = 0;
+  const auto absorb = [&](const TraceSnapshot& snap) {
+    dropped += snap.dropped_spans;
+    for (const TraceSpan& s : snap.spans) {
+      ++drained;
+      if (s.name != "trace_test/live" || s.cat != "test" ||
+          s.args != "i=" + std::to_string(s.id & kSeqMask) ||
+          (s.id >> 40) != s.tid + 1u) {
+        ++torn;
+      }
+      if (!ids.insert(s.id).second) ++repeated;
+    }
+  };
+  while (running.load() > 0) absorb(Trace::Drain());
+  for (std::thread& t : writers) t.join();
+  absorb(Trace::Drain());
+
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(repeated, 0u);
+  EXPECT_GT(drained, 0u);
+  EXPECT_EQ(drained + dropped, kWriters * kSpansPerWriter);
 }
 
 TEST_F(TraceTest, DurationFloorSuppressesShortSpans) {
@@ -148,7 +246,8 @@ TEST_F(TraceTest, DurationFloorSuppressesShortSpans) {
 
 // The TSan-critical path: worker rings written concurrently with the
 // caller's, chunk spans parented under the dispatching caller's span via
-// SpanContext propagation, snapshot taken at quiescence after the join.
+// SpanContext propagation, snapshot taken after the join so every chunk
+// span is in it.
 TEST_F(TraceTest, ParallelForNestsWorkerChunksUnderDispatchSpan) {
   ThreadPool pool(4);
   std::mutex mu;

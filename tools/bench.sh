@@ -31,8 +31,10 @@
 # lazy warm-up swap-to-first-response, each publish opening a fresh model
 # from a snapshot (acceptance: lazy >= 5x faster; 5.1x in the committed
 # 4-vCPU recording, where both warm-ups run on every core) and
-# closed-loop Zipf steady-state QPS (acceptance: lazy within 5% of full,
-# with hit_rate_pct / resident_mb counters on the lazy row).
+# closed-loop Zipf steady-state QPS, lazy vs full, with hit_rate_pct /
+# resident_mb counters on the lazy row. The committed recording does not
+# resolve a 5% bound: lazy read +6.0% in the mean and +0.5% in the median
+# (67.83 vs 63.98 ms, 66.72 vs 66.41 ms) at a CV of 8-10% per row.
 # BENCH_observe.json is
 # the stats-socket scrape cost (docs/observability.md): per-verb scrape
 # latency plus closed-loop daemon QPS with and without a 5 Hz background

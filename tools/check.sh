@@ -90,9 +90,10 @@ build-tsan/tests/train_test
 # The telemetry merge path is the TSan-critical one: per-thread slab writers
 # racing with Snapshot() scrapers must be data-race-free (relaxed atomics).
 build-tsan/tests/telemetry_test
-# Trace rings are written with PLAIN stores by their owning threads; TSan
-# proves the export-at-quiescence contract (pool join happens-before
-# Snapshot) actually holds across ParallelFor and a traced training run.
+# Trace rings are written by their owning threads through relaxed atomics
+# under a per-slot sequence word, and read by Drain/Snapshot at any time:
+# TSan checks a drain looping against four live writers, ParallelFor's
+# cross-thread nesting and a traced training run.
 build-tsan/tests/trace_test
 # Snapshot open/bind/retire: the mapping pins are shared_ptr owners that a
 # retiring model releases on whichever thread drops it last. The hot swap
@@ -110,9 +111,10 @@ build-tsan/tests/repr_cache_test
 # Includes the lazy warm-up tests: compute-on-miss fills racing a cold-cache
 # hot swap.
 build-tsan/tests/serve_test
-# The observability plane under load: socket server accept loop, windowed
-# histogram ticker, live trace ring and SLO tracker all run on their own
-# threads against hot-path writers.
+# The socket server's accept loop against concurrent and malformed clients.
+# The stats endpoint's windowed-histogram ticker, SLO tracker and `trace`
+# verb (a drain racing the admission thread's spans) run in serve_test
+# above and in scenerec_stat --selftest below.
 build-tsan/tests/common_test
 build-tsan/tools/scenerec_serve --selftest
 build-tsan/tools/scenerec_stat --selftest
@@ -144,8 +146,9 @@ echo "==> stage 3: block-scoring equivalence under ASan+UBSan"
 build-asan/tests/scoring_test
 
 echo "==> stage 3: trace ring + export under ASan+UBSan"
-# Ring wraparound arithmetic, snprintf'd args buffers and the JSON exporter
-# are exactly the kind of off-by-one surface ASan exists for.
+# Ring wraparound arithmetic, the args word copies of a drain racing its
+# writers and the JSON exporter are exactly the kind of off-by-one surface
+# ASan exists for.
 build-asan/tests/trace_test
 
 echo "==> stage 3: snapshot mapping lifetime under ASan+UBSan"
@@ -172,8 +175,9 @@ build-asan/tests/serve_test
 build-asan/tools/scenerec_serve --selftest
 
 echo "==> stage 3: observability plane under ASan+UBSan"
-# Socket framing (length-prefixed reads into resized strings), the JSON /
-# Prometheus renderers' snprintf buffers, and CLI parsing of scraped text.
+# Socket framing (length-prefixed reads into resized strings, overlong,
+# binary and cut-off request lines), the JSON / Prometheus renderers'
+# snprintf buffers, and CLI parsing of scraped text.
 build-asan/tests/common_test
 build-asan/tools/scenerec_stat --selftest
 

@@ -305,6 +305,44 @@ int SelfTest(std::string dir) {
 // ---------------------------------------------------------------------------
 
 int Serve(const FlagParser& flags) {
+  // Serving flags are checked before the dataset is generated and the model
+  // trained, so a bad value fails at once and names its flag.
+  serve::ServerConfig config;
+  config.top_n = flags.GetInt64("top_n");
+  config.max_batch = flags.GetInt64("max_batch");
+  config.max_delay_us = flags.GetInt64("max_delay_us");
+  config.queue_capacity = flags.GetInt64("queue_capacity");
+  config.num_candidates = flags.GetInt64("candidates");
+  config.stats_socket = flags.GetString("stats_socket");
+  config.stats_window_ms = flags.GetInt64("stats_window_ms");
+  config.slo_target_p99_us = flags.GetInt64("slo_p99_us");
+  const std::string warmup = flags.GetString("warmup");
+  if (warmup == "lazy") {
+    config.warmup = serve::ServerConfig::Warmup::kLazy;
+  } else if (warmup != "full") {
+    std::fprintf(stderr, "bad --warmup \"%s\" (expected full | lazy)\n",
+                 warmup.c_str());
+    return 1;
+  }
+  config.user_cache_entries = flags.GetInt64("user_cache_entries");
+  if (Status s = serve::ValidateServerConfig(config); !s.ok()) {
+    return Fail("serving flags", s);
+  }
+  for (const char* name : {"clients", "requests"}) {
+    if (const int64_t value = flags.GetInt64(name); value < 1) {
+      return Fail("serving flags",
+                  Status::InvalidArgument("--" + std::string(name) +
+                                          " must be >= 1 (got " +
+                                          std::to_string(value) + ")"));
+    }
+  }
+  const int64_t clients = flags.GetInt64("clients");
+  // Traffic mix: round-robin (uniform) or a pre-sampled Zipf sequence —
+  // the skewed mix is what gives the demand-paged cache a hot set to keep.
+  auto skew_or = ParseSkew(flags.GetString("skew"));
+  if (!skew_or.ok()) return Fail("skew", skew_or.status());
+  const double zipf_s = skew_or.value();
+
   JdPreset preset = JdPreset::kElectronics;
   bool found = false;
   for (JdPreset p : AllJdPresets()) {
@@ -364,24 +402,6 @@ int Serve(const FlagParser& flags) {
     std::printf("serving snapshot %s (zero-copy)\n", latest_or.value().c_str());
   }
 
-  serve::ServerConfig config;
-  config.top_n = flags.GetInt64("top_n");
-  config.max_batch = flags.GetInt64("max_batch");
-  config.max_delay_us = flags.GetInt64("max_delay_us");
-  config.queue_capacity = flags.GetInt64("queue_capacity");
-  config.num_candidates = flags.GetInt64("candidates");
-  config.stats_socket = flags.GetString("stats_socket");
-  config.stats_window_ms = flags.GetInt64("stats_window_ms");
-  config.slo_target_p99_us = flags.GetInt64("slo_p99_us");
-  const std::string warmup = flags.GetString("warmup");
-  if (warmup == "lazy") {
-    config.warmup = serve::ServerConfig::Warmup::kLazy;
-  } else if (warmup != "full") {
-    std::fprintf(stderr, "bad --warmup \"%s\" (expected full | lazy)\n",
-                 warmup.c_str());
-    return 1;
-  }
-  config.user_cache_entries = flags.GetInt64("user_cache_entries");
   if (!config.stats_socket.empty()) {
     std::printf("stats socket: %s (scrape with scenerec_stat --socket=%s)\n",
                 config.stats_socket.c_str(), config.stats_socket.c_str());
@@ -404,13 +424,6 @@ int Serve(const FlagParser& flags) {
   server.Start();
 
   const int64_t total = flags.GetInt64("requests");
-  const int clients = static_cast<int>(flags.GetInt64("clients"));
-
-  // Traffic mix: round-robin (uniform) or a pre-sampled Zipf sequence —
-  // the skewed mix is what gives the demand-paged cache a hot set to keep.
-  auto skew_or = ParseSkew(flags.GetString("skew"));
-  if (!skew_or.ok()) return Fail("skew", skew_or.status());
-  const double zipf_s = skew_or.value();
   std::vector<int64_t> user_seq;
   if (zipf_s > 0.0) {
     ZipfSampler zipf(static_cast<uint64_t>(dataset.num_users), zipf_s);
@@ -426,7 +439,7 @@ int Serve(const FlagParser& flags) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
+  for (int64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&] {
       std::vector<Recommendation> got;
       for (;;) {
@@ -453,10 +466,11 @@ int Serve(const FlagParser& flags) {
   }
 
   const serve::Server::Stats stats = server.stats();
-  std::printf("%lld requests in %.3fs: %.0f QPS (%d clients, batch<=%lld, "
+  std::printf("%lld requests in %.3fs: %.0f QPS (%lld clients, batch<=%lld, "
               "delay %lldus)\n",
               static_cast<long long>(total), seconds,
-              static_cast<double>(total) / seconds, clients,
+              static_cast<double>(total) / seconds,
+              static_cast<long long>(clients),
               static_cast<long long>(config.max_batch),
               static_cast<long long>(config.max_delay_us));
   std::printf("  batches %llu (largest %llu), rows scored %llu, swaps %llu\n",

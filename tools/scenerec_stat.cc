@@ -10,13 +10,15 @@
 //   scenerec_stat --socket=... --json                    # `stats` JSON
 //   scenerec_stat --socket=... --prom                    # Prometheus text
 //   scenerec_stat --socket=... --healthz                 # exit 0 iff ok
-//   scenerec_stat --socket=... --trace > trace.json      # drain live spans
+//   scenerec_stat --socket=... --trace > trace.json      # drain trace spans
 //   scenerec_stat --selftest                             # self-contained
 //
 // The selftest stands up a real Server (an untrained BPR-MF on a synthetic
-// dataset — no training needed), drives traffic, and exercises every verb plus the table
-// renderer end to end over the actual unix socket.
+// dataset — no training needed) with tracing on, drives traffic, and
+// exercises every verb plus the table renderer end to end over the actual
+// unix socket; it drains `trace` while a client is still issuing requests.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +32,7 @@
 #include "common/flags.h"
 #include "common/socket_server.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "graph/bipartite_graph.h"
@@ -316,6 +319,7 @@ int Table(const std::string& socket_path, int timeout_ms, int64_t watch_s) {
 
 int SelfTest() {
   telemetry::Telemetry::SetEnabled(true);
+  trace::Trace::Start();
 
   SyntheticConfig config;
   config.name = "stat-selftest";
@@ -393,9 +397,24 @@ int SelfTest() {
                std::string::npos);
   STAT_REQUIRE(prom.value().find("scenerec_serve_repr_cache_hits") !=
                std::string::npos);
-  StatusOr<std::string> trace = UnixSocketRequest(socket_path, "trace", 5000);
-  STAT_REQUIRE(trace.ok());
-  STAT_REQUIRE(trace.value().find("serve/exec") != std::string::npos);
+  // `trace` drains the trace rings while a client keeps issuing requests.
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::thread client([&] {
+    std::vector<Recommendation> got;
+    for (int64_t u = 0; !stop.load(); u = (u + 1) % dataset->num_users) {
+      if (server.TopN(u, &got)) served.fetch_add(1);
+    }
+  });
+  while (served.load() < 10) std::this_thread::yield();
+  StatusOr<std::string> scraped =
+      UnixSocketRequest(socket_path, "trace", 5000);
+  stop.store(true);
+  client.join();
+  trace::Trace::Stop();
+  STAT_REQUIRE(scraped.ok());
+  STAT_REQUIRE(scraped.value().find("\"serve/request\"") != std::string::npos);
+  STAT_REQUIRE(scraped.value().find("req=") != std::string::npos);
   STAT_REQUIRE(UnixSocketRequest(socket_path, "no_such_verb", 5000)
                    .status()
                    .code() != StatusCode::kOk);
@@ -417,7 +436,8 @@ int Main(int argc, char** argv) {
   flags.AddBool("healthz", false,
                 "print readiness JSON; exit 0 iff healthy, 2 if degraded");
   flags.AddBool("trace", false,
-                "drain the live trace ring as Chrome trace JSON");
+                "drain the daemon's trace spans (recorded since the last "
+                "drain) as Chrome trace JSON");
   flags.AddInt64("watch", 0, "redraw the table every N seconds (0 = once)");
   flags.AddInt64("timeout_ms", 5000, "per-request socket timeout");
   flags.AddBool("selftest", false,
