@@ -55,9 +55,9 @@ const BenchData& Data() {
   return *data;
 }
 
-/// Fresh SceneRec with warmed eval caches (one throwaway full-ranking pass
-/// fills eval_user_cache_ / eval_item_cache_), so the timed loop measures
-/// pure scoring.
+/// Fresh SceneRec with warm eval tables (the first, cold ScoreBlock of one
+/// throwaway full-ranking pass runs the warm-up), so the timed loop
+/// measures pure scoring.
 std::unique_ptr<SceneRec> WarmSceneRec() {
   const BenchData& data = Data();
   SceneRecConfig config;

@@ -64,20 +64,25 @@ struct ThreadBuffer {
   /// slot, so a reader that loads it sees every slot below it written.
   std::atomic<uint64_t> next{0};
   /// The reader-side mark: spans below it were drained or reset away.
-  /// Written under the registry mutex; the owner reads it to tell an
-  /// overwrite that loses a span from one that does not.
+  /// Written under the registry's reader mutex; the owner reads it to tell
+  /// an overwrite that loses a span from one that does not.
   std::atomic<uint64_t> mark{0};
   uint64_t next_seq = 0;  // span-id sequence, written by the owner only
   const uint32_t thread_index;
 };
 
-/// All thread buffers ever created, behind one mutex. Buffers are owned by
-/// the registry (not the thread) so records survive thread exit for export.
-/// A Meyers singleton, leaked so it outlives every traced thread.
+/// All thread buffers ever created. Buffers are owned by the registry (not
+/// the thread) so records survive thread exit for export, and are never
+/// freed. A Meyers singleton, leaked so it outlives every traced thread.
 struct Registry {
+  /// Guards `buffers` and `options`; held only to register a ring or copy
+  /// the ring pointers, so a thread's first span never waits for a reader.
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   TraceOptions options;
+  /// Serializes the readers (Drain, Snapshot, Reset) and their marks. Taken
+  /// before `mu`, never after.
+  std::mutex read_mu;
 };
 
 Registry& GetRegistry() {
@@ -107,6 +112,17 @@ ThreadBuffer& CreateBuffer() {
 ThreadBuffer& Buffer() {
   ThreadBuffer* b = t_buffer;
   return b != nullptr ? *b : CreateBuffer();
+}
+
+/// The rings registered so far, copied under the registration lock. Rings
+/// are never freed, so the pointers stay valid after it is released.
+std::vector<ThreadBuffer*> Buffers() {
+  Registry& reg = GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  std::vector<ThreadBuffer*> out;
+  out.reserve(reg.buffers.size());
+  for (const auto& buf : reg.buffers) out.push_back(buf.get());
+  return out;
 }
 
 /// Appends a finished span to the calling thread's ring (drop-oldest).
@@ -303,10 +319,9 @@ namespace {
 /// Drain() and Snapshot(): copies every ring's spans from the mark on, and
 /// moves the mark to the end when `advance` is set.
 TraceSnapshot Collect(bool advance) {
-  internal::Registry& reg = internal::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
+  std::unique_lock<std::mutex> lock(internal::GetRegistry().read_mu);
   TraceSnapshot snapshot;
-  for (const auto& buf : reg.buffers) {
+  for (internal::ThreadBuffer* buf : internal::Buffers()) {
     const uint64_t end = buf->next.load(std::memory_order_acquire);
     const uint64_t mark = buf->mark.load(std::memory_order_relaxed);
     const uint64_t capacity = buf->records.size();
@@ -328,8 +343,9 @@ TraceSnapshot Collect(bool advance) {
     snapshot.dropped_spans += end - mark - kept;
     if (advance) buf->mark.store(end, std::memory_order_relaxed);
   }
-  // (tid, start, longest-first, open-order) puts every parent before its
-  // children, which the self-time sweep depends on.
+  lock.unlock();
+  // Sorted outside both locks. (tid, start, longest-first, open-order) puts
+  // every parent before its children, which the self-time sweep depends on.
   std::sort(snapshot.spans.begin(), snapshot.spans.end(),
             [](const TraceSpan& a, const TraceSpan& b) {
               if (a.tid != b.tid) return a.tid < b.tid;
@@ -488,9 +504,8 @@ void Trace::SetEnabled(bool enabled) {
 }
 
 void Trace::Reset() {
-  internal::Registry& reg = internal::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& buf : reg.buffers) {
+  std::lock_guard<std::mutex> lock(internal::GetRegistry().read_mu);
+  for (internal::ThreadBuffer* buf : internal::Buffers()) {
     buf->mark.store(buf->next.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
   }

@@ -16,8 +16,8 @@ namespace scenerec {
 /// Scores one user against a block of candidate items, writing
 /// out[r] = score(user, items[r]); higher means more likely to be clicked.
 /// The contract (docs/serving.md): out and items have the same length, and
-/// every out[r] is bitwise equal to Recommender::Score(user, items[r]), so
-/// how candidates are split into blocks never changes a score.
+/// out[r] depends only on (user, items[r]), so how candidates are split
+/// into blocks never changes a score.
 using BlockScoreFn = std::function<void(
     int64_t user, std::span<const int64_t> items, std::span<float> out)>;
 

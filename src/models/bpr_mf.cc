@@ -20,19 +20,6 @@ Tensor BprMf::ScoreForTraining(int64_t user, int64_t item) {
   return Add(Dot(p, q), bias);
 }
 
-float BprMf::Score(int64_t user, int64_t item) {
-  // Direct dot product on raw tables: no graph construction needed. Uses
-  // the same fixed-order kernel as ScoreBlock so the two are bitwise equal
-  // (a Gemv against the candidate matrix computes row r via this same Dot).
-  const auto& p = user_embedding_.table().value();
-  const auto& q = item_embedding_.table().value();
-  const int64_t d = user_embedding_.dim();
-  const float* prow = p.data() + user * d;
-  const float* qrow = q.data() + item * d;
-  return item_bias_.value()[static_cast<size_t>(item)] +
-         kernels::Dot(prow, qrow, d);
-}
-
 void BprMf::ScoreBlock(int64_t user, std::span<const int64_t> items,
                        std::span<float> out) {
   SCENEREC_CHECK_EQ(items.size(), out.size());

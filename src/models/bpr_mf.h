@@ -19,15 +19,14 @@ class BprMf : public Recommender {
 
   std::string name() const override { return "BPR-MF"; }
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
-  float Score(int64_t user, int64_t item) override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
   /// Scoring reads only the embedding tables: no sampling, no caches.
   bool SupportsShardedLoss() const override { return true; }
   bool PrepareParallelScoring(ThreadPool&) override { return true; }
 
-  /// A block is candidate-row dot products straight off the tables — the
-  /// same fixed-order kernels::Dot per item as Score(), no gather copy.
+  /// A block is candidate-row dot products straight off the tables: one
+  /// fixed-order kernels::Dot per item plus its bias, no gather copy.
   bool SupportsBlockScoring() const override { return true; }
   void ScoreBlock(int64_t user, std::span<const int64_t> items,
                   std::span<float> out) override;

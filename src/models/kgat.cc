@@ -220,20 +220,6 @@ bool Kgat::PrepareParallelScoring(ThreadPool& pool) {
   return true;
 }
 
-float Kgat::Score(int64_t user, int64_t item) {
-  if (cached_layers_.empty()) OnEvalBegin();
-  const int64_t u = graph_.propagation.UserNode(user);
-  const int64_t i = graph_.propagation.ItemNode(item);
-  // Per-layer fixed-order dots, accumulated layer-major — the exact kernel
-  // and order ScoreBlock uses per candidate, so the two are bitwise equal.
-  float total = 0.0f;
-  for (const auto& layer : cached_layers_) {
-    total += kernels::Dot(layer.data() + u * dim_, layer.data() + i * dim_,
-                          dim_);
-  }
-  return total;
-}
-
 void Kgat::ScoreBlock(int64_t user, std::span<const int64_t> items,
                       std::span<float> out) {
   SCENEREC_CHECK_EQ(items.size(), out.size());

@@ -90,20 +90,6 @@ bool Ngcf::PrepareParallelScoring(ThreadPool& pool) {
   return true;
 }
 
-float Ngcf::Score(int64_t user, int64_t item) {
-  if (cached_layers_.empty()) OnEvalBegin();
-  const int64_t u = prop_.UserNode(user);
-  const int64_t i = prop_.ItemNode(item);
-  // Per-layer fixed-order dots, accumulated layer-major — the exact kernel
-  // and order ScoreBlock uses per candidate, so the two are bitwise equal.
-  float total = 0.0f;
-  for (const auto& layer : cached_layers_) {
-    total += kernels::Dot(layer.data() + u * dim_, layer.data() + i * dim_,
-                          dim_);
-  }
-  return total;
-}
-
 void Ngcf::ScoreBlock(int64_t user, std::span<const int64_t> items,
                       std::span<float> out) {
   SCENEREC_CHECK_EQ(items.size(), out.size());

@@ -35,16 +35,14 @@ class Ngcf : public Recommender {
   std::string name() const override { return "NGCF"; }
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
-  float Score(int64_t user, int64_t item) override;
   void OnEvalBegin() override;
-  /// After the cache refresh Score() is a pure read of the propagated
+  /// After the cache refresh ScoreBlock is a pure read of the propagated
   /// layer snapshot, so concurrent scoring is safe.
   bool PrepareParallelScoring(ThreadPool& pool) override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
-  /// A block is per-layer dot products against the cached candidate rows,
-  /// layer-major like Score() so the accumulation order (and the result)
-  /// is bitwise identical.
+  /// A block is per-layer fixed-order dot products against the cached
+  /// candidate rows, accumulated layer-major per candidate.
   bool SupportsBlockScoring() const override { return true; }
   void ScoreBlock(int64_t user, std::span<const int64_t> items,
                   std::span<float> out) override;

@@ -108,24 +108,29 @@ void Recommender::AttachUserReprCache(std::shared_ptr<ReprCache> cache,
 }
 
 float Recommender::Score(int64_t user, int64_t item) {
-  NoGradGuard no_grad;
-  return ScoreForTraining(user, item).scalar();
+  float out = 0.0f;
+  ScoreBlock(user, std::span<const int64_t>(&item, 1),
+             std::span<float>(&out, 1));
+  return out;
 }
 
 void Recommender::ScoreBlock(int64_t user, std::span<const int64_t> items,
                              std::span<float> out) {
-  // Per-pair fallback adapter: correct for every model (out[r] IS
-  // Score(user, items[r])), batched for none. Batching models override.
+  // Per-pair fallback: correct for every model, batched for none. Batching
+  // models override.
   SCENEREC_CHECK_EQ(items.size(), out.size());
-  for (size_t r = 0; r < items.size(); ++r) out[r] = Score(user, items[r]);
+  NoGradGuard no_grad;
+  for (size_t r = 0; r < items.size(); ++r) {
+    out[r] = ScoreForTraining(user, items[r]).scalar();
+  }
 }
 
 void Recommender::ScoreRows(std::span<const int64_t> users,
                             std::span<const int64_t> items,
                             std::span<float> out) {
   // Run-splitting fallback: one ScoreBlock per maximal same-user run, so a
-  // daemon batch degrades to per-request block scoring (still bitwise equal
-  // to Score row by row). Cross-user batching models override.
+  // daemon batch degrades to per-request block scoring. Cross-user batching
+  // models override.
   SCENEREC_CHECK_EQ(users.size(), items.size());
   SCENEREC_CHECK_EQ(users.size(), out.size());
   size_t start = 0;

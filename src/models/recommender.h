@@ -139,19 +139,22 @@ class Recommender : public Module {
     return ScoreForTraining(user, item);
   }
 
-  /// Inference-mode score. Default: ScoreForTraining under NoGradGuard.
-  /// Models with cached propagated representations override this.
-  virtual float Score(int64_t user, int64_t item);
-
-  // -- Block scoring (batched inference) --------------------------------
+  // -- Inference scoring ---------------------------------------------------
   //
-  // Full-ranking evaluation and Top-N serving score one user against
-  // thousands of candidate items. ScoreBlock is the batched entry point:
-  // models with memoized user/item representations answer a whole block
-  // with one kernel sweep instead of one autograd forward per pair
-  // (docs/serving.md). The contract is strict:
-  // out[r] must be bitwise equal to Score(user, items[r]) for every r, so
-  // callers may switch between the paths freely without metrics drift.
+  // ScoreBlock is each model's one eval scoring implementation: full-
+  // ranking evaluation and Top-N serving score one user against thousands
+  // of candidates, and models with memoized user/item representations
+  // answer a whole block with one kernel sweep instead of one autograd
+  // forward per pair (docs/serving.md). Its contract: out[r] depends only
+  // on (user, items[r]), never on which other rows share the call. Score
+  // is a one-row ScoreBlock, so Score(user, items[r]) == out[r] bitwise
+  // because both run the same code, and callers may re-chunk blocks freely
+  // without metrics drift.
+
+  /// Inference-mode score of one pair: a one-row ScoreBlock. Subclasses
+  /// override ScoreBlock, not this; it stays virtual only because
+  /// perfbench's StepClock (perfbench/train_workload.cc) overrides it.
+  virtual float Score(int64_t user, int64_t item);
 
   /// True if ScoreBlock is a genuine batched fast path rather than the
   /// per-pair fallback loop. Purely informational — ScoreBlock is always
@@ -159,21 +162,21 @@ class Recommender : public Module {
   virtual bool SupportsBlockScoring() const { return false; }
 
   /// Scores `items.size()` candidates for one user into `out` (same
-  /// length). Requires the same preparation as Score (OnEvalBegin, and
-  /// PrepareParallelScoring before concurrent use). The default loops
-  /// Score() — correct for every model, batched for none.
+  /// length). Requires OnEvalBegin after a parameter write, and
+  /// PrepareParallelScoring before concurrent use. The default runs
+  /// ScoreForTraining per row under one NoGradGuard — correct for every
+  /// model, batched for none.
   virtual void ScoreBlock(int64_t user, std::span<const int64_t> items,
                           std::span<float> out);
 
   // -- Cross-user row scoring --------------------------------------------
   //
   // ScoreRows scores a flattened row list that may mix users: row r scores
-  // the pair (users[r], items[r]). The contract extends ScoreBlock's:
-  // out[r] must be bitwise equal to Score(users[r], items[r]) for every r,
-  // independent of which rows happen to share a call, so rows may be
-  // re-chunked freely. No library path calls it (every Top-N list ends in
-  // ScoreAndSelectTopN's per-user ScoreBlock runs); it stays for callers
-  // that time a whole batch's rows as one stage (docs/serving.md).
+  // the pair (users[r], items[r]) through one ScoreBlock per run of equal
+  // user, so it inherits ScoreBlock's row independence. No library path
+  // calls it (every Top-N list ends in ScoreAndSelectTopN's per-user
+  // ScoreBlock runs); it and both Supports*Scoring bits stay only because
+  // perfbench's StepClock overrides them (ROADMAP item 3).
 
   /// True if the model scores a cross-user row list natively rather than
   /// through the per-run ScoreBlock fallback. Informational, like
@@ -194,10 +197,10 @@ class Recommender : public Module {
   // a per-user query and a per-item embedding export the item side as one
   // matrix for ANN index construction (retrieval/index_builder.h) and write
   // the query side per request. Both use the same representations as
-  // Score(), so they require the same preparation (OnEvalBegin after
-  // parameter changes) and, like Score() itself, lazily self-ensure any
-  // eval caches. The declared fidelity tells callers how to interpret
-  // index scores.
+  // ScoreBlock, so they require the same preparation (OnEvalBegin after
+  // parameter changes) and, like ScoreBlock, warm any eval table still
+  // empty on the calling thread. The declared fidelity tells callers how
+  // to interpret index scores.
 
   /// True if ExportItemEmbeddings / WriteRetrievalQuery are implemented.
   virtual bool SupportsRetrievalEmbeddings() const { return false; }
@@ -206,8 +209,8 @@ class Recommender : public Module {
   virtual int64_t RetrievalDim() const { return 0; }
 
   /// Exports the [num_items, RetrievalDim()] item matrix (plus optional
-  /// bias). Not safe concurrently with scoring if eval caches are cold.
-  /// Models with eval caches fill them here, so the export doubles as the
+  /// bias). Not safe concurrently with scoring if eval tables are cold.
+  /// Models with eval tables fill them here, so the export doubles as the
   /// item side of a warm-up (SceneRec's runs on the default pool and leaves
   /// PrepareParallelScoring only the user side). CHECK-fails unless
   /// SupportsRetrievalEmbeddings().
@@ -225,10 +228,10 @@ class Recommender : public Module {
   // a bounded common/ReprCache instead of precomputing every user at
   // publish time: PrepareParallelScoring then skips the O(users) sweep and
   // a missing user is computed on first touch — bitwise identical to the
-  // precomputed row, so every scoring contract (Score == ScoreBlock ==
-  // ScoreRows) extends unchanged. Entries are tagged with the publisher's
-  // version; attaching with a new version lazily invalidates the previous
-  // publish's entries with no flush (docs/serving.md#warmup).
+  // precomputed row, so scores do not depend on the warm-up mode. Entries
+  // are tagged with the publisher's version; attaching with a new version
+  // lazily invalidates the previous publish's entries with no flush
+  // (docs/serving.md#warmup).
 
   /// True if AttachUserReprCache is implemented.
   virtual bool SupportsUserReprCache() const { return false; }
@@ -245,11 +248,11 @@ class Recommender : public Module {
   virtual void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                                    uint64_t version);
 
-  /// Makes Score() safe to call concurrently and returns true, or returns
-  /// false if this model's scoring path cannot be parallelized. Called by
-  /// the trainer/evaluator after OnEvalBegin; implementations typically
-  /// precompute lazily-filled eval caches here (optionally using `pool`)
-  /// so that concurrent Score() calls are pure reads. Defaults to false.
+  /// Makes ScoreBlock safe to call concurrently and returns true, or
+  /// returns false if this model's scoring path cannot be parallelized.
+  /// Called by the trainer/evaluator after OnEvalBegin; implementations
+  /// fill their eval tables here (optionally using `pool`) so that
+  /// concurrent ScoreBlock calls are pure reads. Defaults to false.
   virtual bool PrepareParallelScoring(ThreadPool& pool) {
     (void)pool;
     return false;

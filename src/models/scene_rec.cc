@@ -13,18 +13,6 @@
 
 namespace scenerec {
 
-namespace {
-
-/// True when `memos` holds `n` filled slots: a warm-up stage with nothing
-/// left to compute.
-bool AllFilled(const std::vector<Tensor>& memos, int64_t n) {
-  return static_cast<int64_t>(memos.size()) == n &&
-         std::all_of(memos.begin(), memos.end(),
-                     [](const Tensor& t) { return t.defined(); });
-}
-
-}  // namespace
-
 SceneRec::SceneRec(const UserItemGraph* user_item, const SceneGraph* scene,
                    const SceneRecConfig& config, Rng& rng)
     : user_item_(user_item),
@@ -80,26 +68,19 @@ Tensor SceneRec::SceneSum(int64_t category, StepCaches& caches) const {
   return memo;
 }
 
-void SceneRec::ClearStepCaches() {
-  step_caches_.Clear();
-  eval_version_.reset();
-}
-
-void SceneRec::StampEvalMemos() {
-  if (!eval_version_.has_value()) eval_version_ = ParameterVersion();
-}
-
 void SceneRec::OnEvalBegin() {
-  // Every eval memo derives from the parameters and graphs alone, so memos
-  // stamped with the current parameter version are still exact. Anything
-  // else (a parameter written since, or a training step that refilled the
-  // shared step memos and dropped the stamp) clears them all.
-  if (eval_version_ == ParameterVersion()) return;
-  ClearStepCaches();
+  // Every eval table derives from the parameters and graphs alone, so
+  // tables stamped with the current parameter version are still exact.
+  // After a parameter write both sides are emptied and restamped; the
+  // warm-ups then refill them.
+  const uint64_t version = ParameterVersion();
+  if (eval_version_ == version) return;
+  eval_version_ = version;
+  item_side_warm_ = false;
+  user_side_warm_ = false;
   eval_user_cache_.clear();
   eval_item_repr_.clear();
   eval_item_proj_.clear();
-  item_state_.clear();
   rating_w_user_.clear();
   rating_w_item_.clear();
 }
@@ -212,48 +193,36 @@ void SceneRec::AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                                    uint64_t version) {
   if (cache != nullptr) {
     SCENEREC_CHECK_EQ(cache->dim(), config_.embedding_dim);
-    // The per-user memo vector and the cache must not fork representations:
-    // drop the memos so every eval-mode user repr flows through the cache.
+    // The user table and the cache must not fork representations: empty
+    // the table so every eval-mode user repr flows through the cache.
     eval_user_cache_.clear();
+    user_side_warm_ = false;
   }
   user_repr_cache_ = std::move(cache);
   user_repr_version_ = version;
 }
 
 Tensor SceneRec::UserRepr(int64_t user, Rng* rng) {
-  const bool eval_mode = NoGradGuard::enabled();
-  if (eval_mode && user_repr_cache_ != nullptr) {
-    const int64_t d = config_.embedding_dim;
-    std::vector<float> row(static_cast<size_t>(d));
-    if (user_repr_cache_->Lookup(user, user_repr_version_, row)) {
-      return Tensor::FromVector(Shape({d}), std::move(row));
-    }
-    // Miss: eq. (1) on demand — the identical code path the serial lazy
-    // fill below takes, so the inserted row is bitwise equal to a
-    // precomputed one (ForwardRows row r == Forward(row r), docs/kernels.md)
-    // and cached scores never drift from full warm-up.
-    SCENEREC_TRACE_SPAN_F("serve/repr_miss_fill", "serve", trace::Floor::kOp,
-                          "user=%lld", static_cast<long long>(user));
-    Tensor repr = user_agg_.Forward(UserAggSum(user, rng));
-    user_repr_cache_->Insert(
-        user, user_repr_version_,
-        std::span<const float>(repr.value().data(), static_cast<size_t>(d)));
-    return repr;
+  // Eq. (1) in training. In eval, a read of the user table WarmUserSide
+  // filled, or of the attached cache.
+  if (!NoGradGuard::enabled()) return user_agg_.Forward(UserAggSum(user, rng));
+  if (user_repr_cache_ == nullptr) {
+    return eval_user_cache_[static_cast<size_t>(user)];
   }
-  if (eval_mode) {
-    if (eval_user_cache_.empty()) {
-      eval_user_cache_.resize(static_cast<size_t>(user_item_->num_users()));
-    }
-    if (eval_user_cache_[static_cast<size_t>(user)].defined()) {
-      return eval_user_cache_[static_cast<size_t>(user)];
-    }
+  const int64_t d = config_.embedding_dim;
+  std::vector<float> row(static_cast<size_t>(d));
+  if (user_repr_cache_->Lookup(user, user_repr_version_, row)) {
+    return Tensor::FromVector(Shape({d}), std::move(row));
   }
-  // Eq. (1).
+  // Miss: eq. (1) on demand. ForwardRows row r is bitwise Forward(row r)
+  // (docs/kernels.md), so the inserted row equals the one WarmUserSide
+  // writes and cached scores never drift from full warm-up.
+  SCENEREC_TRACE_SPAN_F("serve/repr_miss_fill", "serve", trace::Floor::kOp,
+                        "user=%lld", static_cast<long long>(user));
   Tensor repr = user_agg_.Forward(UserAggSum(user, rng));
-  if (eval_mode) {
-    StampEvalMemos();
-    eval_user_cache_[static_cast<size_t>(user)] = repr;
-  }
+  user_repr_cache_->Insert(
+      user, user_repr_version_,
+      std::span<const float>(repr.value().data(), static_cast<size_t>(d)));
   return repr;
 }
 
@@ -276,54 +245,6 @@ Tensor SceneRec::GeneralItemRepr(int64_t item, StepCaches& caches,
   Tensor user_view = UserSpaceItemRepr(item, rng);
   Tensor scene_view = SceneSpaceItemRepr(item, caches, rng);
   return item_mlp_.Forward(Concat({user_view, scene_view}));
-}
-
-void SceneRec::EnsureEvalTables() {
-  if (!item_state_.empty()) return;
-  StampEvalMemos();
-  const int64_t d = config_.embedding_dim;
-  const size_t cells = static_cast<size_t>(user_item_->num_items() * d);
-  eval_item_repr_.resize(cells);
-  eval_item_proj_.resize(cells);
-  item_state_.assign(static_cast<size_t>(user_item_->num_items()), kItemCold);
-  // W [d, 2d] of eq. (14)'s first layer: columns [0, d) act on m_u, [d, 2d)
-  // on m_i.
-  const float* w = rating_mlp_.layer(0).weight().value().data();
-  rating_w_user_.resize(static_cast<size_t>(d * d));
-  rating_w_item_.resize(static_cast<size_t>(d * d));
-  for (int64_t r = 0; r < d; ++r) {
-    std::copy(w + r * 2 * d, w + r * 2 * d + d,
-              rating_w_user_.data() + r * d);
-    std::copy(w + r * 2 * d + d, w + (r + 1) * 2 * d,
-              rating_w_item_.data() + r * d);
-  }
-}
-
-const float* SceneRec::EvalItemRepr(int64_t item) {
-  EnsureEvalTables();
-  const int64_t d = config_.embedding_dim;
-  float* row = eval_item_repr_.data() + item * d;
-  if (item_state_[static_cast<size_t>(item)] == kItemCold) {
-    // GeneralItemReprRows row r is bitwise GeneralItemRepr, so a lazily
-    // filled row equals the prepared one.
-    const Tensor repr = GeneralItemRepr(item, step_caches_, nullptr);
-    std::copy(repr.value().data(), repr.value().data() + d, row);
-    item_state_[static_cast<size_t>(item)] = kItemRepr;
-  }
-  return row;
-}
-
-const float* SceneRec::EvalItemProjection(int64_t item) {
-  const int64_t d = config_.embedding_dim;
-  float* p = eval_item_proj_.data() + item * d;
-  if (item_state_[static_cast<size_t>(item)] != kItemProjected) {
-    const float* m_i = EvalItemRepr(item);
-    kernels::Gemv(rating_w_item_.data(), d, d, m_i, p);
-    const float* b = rating_mlp_.layer(0).bias().value().data();
-    for (int64_t j = 0; j < d; ++j) p[j] += b[j];
-    item_state_[static_cast<size_t>(item)] = kItemProjected;
-  }
-  return p;
 }
 
 Tensor SceneRec::ItemRowsFromParts(const std::vector<Tensor>& user_space_sums,
@@ -355,22 +276,22 @@ Tensor SceneRec::Rating(const Tensor& user_repr, const Tensor& item_repr) {
 
 Tensor SceneRec::ScoreForTraining(int64_t user, int64_t item) {
   if (NoGradGuard::enabled()) {
-    // Eval: the concat form over the same memoized reprs the factorized
-    // head reads.
-    const float* row = EvalItemRepr(item);
+    // Eval: the concat form over the same tables the factorized head reads.
+    WarmIfCold();
     const int64_t d = config_.embedding_dim;
+    const float* row = eval_item_repr_.data() + item * d;
     return Rating(UserRepr(user, nullptr),
                   Tensor::FromVector(Shape({d}),
                                      std::vector<float>(row, row + d)));
   }
-  ClearStepCaches();  // fresh parameters each step
+  step_caches_.Clear();  // fresh parameters each step
   return Rating(UserRepr(user, &sample_rng_),
                 GeneralItemRepr(item, step_caches_, &sample_rng_));
 }
 
 Tensor SceneRec::BatchLoss(std::span<const BprTriple> batch) {
   SCENEREC_CHECK(!batch.empty());
-  ClearStepCaches();
+  step_caches_.Clear();  // fresh parameters each step
   return ShardLoss(batch, step_caches_, sample_rng_);
 }
 
@@ -432,105 +353,97 @@ Tensor SceneRec::ShardLoss(std::span<const BprTriple> triples,
 }
 
 void SceneRec::WarmItemSide(ThreadPool& pool) {
-  // An export may arrive without OnEvalBegin; either way only memos current
-  // for the parameters survive, and complete stages below are skipped, so
-  // a model whose item side is already warm is only read. Within a stage
-  // each index writes only its own (pre-sized) memo slot, so stages
-  // parallelize over disjoint memory. NoGradGuard is thread-local and
-  // therefore instantiated inside each worker body.
-  OnEvalBegin();
-  StampEvalMemos();
+  if (item_side_warm_) return;
+  const int64_t d = config_.embedding_dim;
+  // W [d, 2d] of eq. (14)'s first layer: columns [0, d) act on m_u, [d, 2d)
+  // on m_i.
+  const float* w = rating_mlp_.layer(0).weight().value().data();
+  rating_w_user_.resize(static_cast<size_t>(d * d));
+  rating_w_item_.resize(static_cast<size_t>(d * d));
+  for (int64_t r = 0; r < d; ++r) {
+    std::copy(w + r * 2 * d, w + r * 2 * d + d,
+              rating_w_user_.data() + r * d);
+    std::copy(w + r * 2 * d + d, w + (r + 1) * 2 * d,
+              rating_w_item_.data() + r * d);
+  }
+  // The eq. (3) and eq. (7) intermediates live in this warm-up's own memos,
+  // apart from the training step's. Within a stage each index writes only
+  // its own pre-sized slot, so stages parallelize over disjoint memory.
+  // NoGradGuard is thread-local and therefore instantiated inside each
+  // worker body.
+  StepCaches caches;
   if (scene_ != nullptr) {
     const int64_t num_categories = scene_->num_categories();
-    if (!AllFilled(step_caches_.scene_sum, num_categories)) {
-      if (step_caches_.scene_sum.empty()) {
-        step_caches_.scene_sum.resize(static_cast<size_t>(num_categories));
-      }
-      pool.ParallelFor(num_categories, /*grain=*/16,
-                       [this](int64_t begin, int64_t end) {
-                         NoGradGuard no_grad;
-                         for (int64_t c = begin; c < end; ++c) {
-                           SceneSum(c, step_caches_);
-                         }
-                       });
-    }
-    if (config_.use_scene &&
-        !AllFilled(step_caches_.category_repr, num_categories)) {
-      if (step_caches_.category_repr.empty()) {
-        step_caches_.category_repr.resize(static_cast<size_t>(num_categories));
-      }
+    caches.scene_sum.resize(static_cast<size_t>(num_categories));
+    pool.ParallelFor(num_categories, /*grain=*/16,
+                     [this, &caches](int64_t begin, int64_t end) {
+                       NoGradGuard no_grad;
+                       for (int64_t c = begin; c < end; ++c) {
+                         SceneSum(c, caches);
+                       }
+                     });
+    if (config_.use_scene) {
+      caches.category_repr.resize(static_cast<size_t>(num_categories));
       // Each chunk builds its eq. (7) inputs and runs category_fuse_ once as
-      // a row-batched GEMM; Row(rows, r) is bitwise equal to the lazy
-      // single-category forward, so serial evaluation stays bitwise
-      // identical.
+      // a row-batched GEMM.
       pool.ParallelFor(
-          num_categories, /*grain=*/16, [this](int64_t begin, int64_t end) {
+          num_categories, /*grain=*/16,
+          [this, &caches](int64_t begin, int64_t end) {
             NoGradGuard no_grad;
             std::vector<Tensor> inputs;
             inputs.reserve(static_cast<size_t>(end - begin));
             for (int64_t c = begin; c < end; ++c) {
-              inputs.push_back(CategoryFuseInput(c, step_caches_, nullptr));
+              inputs.push_back(CategoryFuseInput(c, caches, nullptr));
             }
             Tensor rows = category_fuse_.ForwardRows(StackRows(inputs));
             for (int64_t c = begin; c < end; ++c) {
-              step_caches_.category_repr[static_cast<size_t>(c)] =
+              caches.category_repr[static_cast<size_t>(c)] =
                   Row(rows, c - begin);
             }
           });
     }
   }
   // Items: eq. (13) rows into M, then P = W_i M + b for the same block with
-  // one GemvMulti — per (item, output) bitwise the Gemv a lazy fill runs.
-  // A pool chunk can be the whole catalog (a one-thread pool runs inline),
-  // so chunks are walked in blocks: the eq. (13) intermediates then stay
-  // O(block) instead of O(catalog), which would otherwise be tens of MiB of
-  // heap retained after every publish.
-  EnsureEvalTables();
+  // one GemvMulti. A pool chunk can be the whole catalog (a one-thread pool
+  // runs inline), so chunks are walked in blocks: the eq. (13)
+  // intermediates then stay O(block) instead of O(catalog), which would
+  // otherwise be tens of MiB of heap retained after every publish.
   const int64_t num_items = user_item_->num_items();
+  eval_item_repr_.resize(static_cast<size_t>(num_items * d));
+  eval_item_proj_.resize(static_cast<size_t>(num_items * d));
   pool.ParallelFor(
-      num_items, /*grain=*/32, [this](int64_t begin, int64_t end) {
+      num_items, /*grain=*/32, [this, &caches, d](int64_t begin, int64_t end) {
         NoGradGuard no_grad;
         constexpr int64_t kBlock = 256;
-        const int64_t d = config_.embedding_dim;
         const float* b = rating_mlp_.layer(0).bias().value().data();
         std::vector<int64_t> items;
         for (int64_t lo = begin; lo < end; lo += kBlock) {
           const int64_t hi = std::min(lo + kBlock, end);
-          if (std::all_of(item_state_.begin() + lo, item_state_.begin() + hi,
-                          [](uint8_t s) { return s == kItemProjected; })) {
-            continue;
-          }
           items.resize(static_cast<size_t>(hi - lo));
           for (int64_t i = lo; i < hi; ++i) {
             items[static_cast<size_t>(i - lo)] = i;
           }
-          Tensor rows = GeneralItemReprRows(items, step_caches_, nullptr);
+          Tensor rows = GeneralItemReprRows(items, caches, nullptr);
           const float* src = rows.value().data();
           float* m = eval_item_repr_.data() + lo * d;
           float* p = eval_item_proj_.data() + lo * d;
           std::copy(src, src + (hi - lo) * d, m);
           kernels::GemvMulti(rating_w_item_.data(), d, d, m, hi - lo, p);
-          for (int64_t i = lo; i < hi; ++i) {
-            for (int64_t j = 0; j < d; ++j) p[(i - lo) * d + j] += b[j];
-            item_state_[static_cast<size_t>(i)] = kItemProjected;
+          for (int64_t r = 0; r < hi - lo; ++r) {
+            for (int64_t j = 0; j < d; ++j) p[r * d + j] += b[j];
           }
         }
       });
+  item_side_warm_ = true;
 }
 
-bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
-  WarmItemSide(pool);
+void SceneRec::WarmUserSide(ThreadPool& pool) {
   // With a demand-paged cache attached the O(users) sweep is skipped
-  // entirely — hot swap warm-up is O(items) and user reprs materialize on
-  // first touch (docs/serving.md#warmup). Without one, precompute every
-  // user so concurrent Score() calls are pure reads.
+  // entirely: hot swap warm-up is O(items) and user reprs materialize on
+  // first touch (docs/serving.md#warmup).
+  if (user_side_warm_ || user_repr_cache_ != nullptr) return;
   const int64_t num_users = user_item_->num_users();
-  if (user_repr_cache_ != nullptr || AllFilled(eval_user_cache_, num_users)) {
-    return true;
-  }
-  if (eval_user_cache_.empty()) {
-    eval_user_cache_.resize(static_cast<size_t>(num_users));
-  }
+  eval_user_cache_.resize(static_cast<size_t>(num_users));
   pool.ParallelFor(
       num_users, /*grain=*/32, [this](int64_t begin, int64_t end) {
         NoGradGuard no_grad;
@@ -544,14 +457,22 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
           eval_user_cache_[static_cast<size_t>(u)] = Row(rows, u - begin);
         }
       });
+  user_side_warm_ = true;
+}
+
+bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
+  OnEvalBegin();
+  WarmItemSide(pool);
+  WarmUserSide(pool);
   return true;
 }
 
-float SceneRec::Score(int64_t user, int64_t item) {
-  float out = 0.0f;
-  ScoreBlock(user, std::span<const int64_t>(&item, 1),
-             std::span<float>(&out, 1));
-  return out;
+void SceneRec::WarmIfCold() {
+  if (item_side_warm_ && (user_side_warm_ || user_repr_cache_ != nullptr)) {
+    return;
+  }
+  ThreadPool calling_thread(1);  // no workers: every loop runs inline
+  PrepareParallelScoring(calling_thread);
 }
 
 void SceneRec::ScoreBlock(int64_t user, std::span<const int64_t> items,
@@ -559,16 +480,15 @@ void SceneRec::ScoreBlock(int64_t user, std::span<const int64_t> items,
   SCENEREC_CHECK_EQ(items.size(), out.size());
   if (items.empty()) return;
   NoGradGuard no_grad;
-  // Every read below is of a memo PrepareParallelScoring filled (pure
-  // reads, safe concurrently) or one this serial call fills on first use.
-  EnsureEvalTables();
+  // After PrepareParallelScoring every read below is of a full table (pure
+  // reads, safe concurrently); a cold serial call fills them all first.
+  WarmIfCold();
   const int64_t d = config_.embedding_dim;
   thread_local std::vector<float> q;
   q.resize(static_cast<size_t>(d));
   const Tensor user_repr = UserRepr(user, nullptr);
   kernels::Gemv(rating_w_user_.data(), d, d, user_repr.value().data(),
                 q.data());
-  for (const int64_t item : items) EvalItemProjection(item);
   const Linear& hidden = rating_mlp_.layer(0);
   const Linear& output = rating_mlp_.layer(1);
   kernels::AddActDotRows(q.data(), eval_item_proj_.data(), items.data(),
@@ -579,17 +499,11 @@ void SceneRec::ScoreBlock(int64_t user, std::span<const int64_t> items,
                          out.data());
 }
 
-std::span<const float> SceneRec::RatingHeadItemRow(int64_t item) {
-  NoGradGuard no_grad;
-  EnsureEvalTables();
-  return std::span<const float>(EvalItemProjection(item),
-                                static_cast<size_t>(config_.embedding_dim));
-}
-
 RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
-  // The export is the item warm-up: it fills the M and P that Score() and
-  // ScoreBlock read, so exporting never forks representations and a
-  // Publish that follows finds the item side done.
+  // The export is the item warm-up: it fills the M and P that ScoreBlock
+  // reads, so exporting never forks representations and a Publish that
+  // follows finds the item side done. It never sweeps the users.
+  OnEvalBegin();
   WarmItemSide(*DefaultThreadPool());
   RetrievalEmbeddings out;
   out.num_items = user_item_->num_items();
@@ -603,6 +517,7 @@ RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
 void SceneRec::WriteRetrievalQuery(int64_t user, std::span<float> out) {
   NoGradGuard no_grad;
   SCENEREC_CHECK_EQ(static_cast<int64_t>(out.size()), config_.embedding_dim);
+  WarmIfCold();
   const Tensor repr = UserRepr(user, nullptr);
   const float* src = repr.value().data();
   std::copy(src, src + config_.embedding_dim, out.begin());

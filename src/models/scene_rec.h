@@ -61,9 +61,9 @@ class SceneRec : public Recommender {
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
 
-  /// Keeps every eval memo (M, P, user reprs, eval scene sums and category
-  /// reprs) while ParameterVersion() still equals the version they were
-  /// filled under, and clears them all otherwise. Re-publishing or
+  /// Keeps both eval sides (M, P and the W_u/W_i halves; the user table)
+  /// while ParameterVersion() still equals the version they were stamped
+  /// with, and empties both and restamps otherwise. Re-publishing or
   /// re-evaluating a model whose parameters were not written therefore
   /// costs nothing and writes nothing.
   void OnEvalBegin() override;
@@ -78,46 +78,40 @@ class SceneRec : public Recommender {
   Tensor BatchLossShard(std::span<const BprTriple> shard, int64_t shard_index,
                         Rng& rng) override;
 
-  /// Precomputes every eval memo: the item side (WarmItemSide), then the
-  /// user reprs, each stage parallel over disjoint cache slots, then returns
-  /// true: Score() becomes a pure read plus the factorized rating head.
-  /// Work already complete is skipped, so on a model whose memos are all
-  /// current (an export or an earlier prepare filled them) it computes and
-  /// writes nothing.
+  /// OnEvalBegin, then the warm-up of each eval side that is still empty:
+  /// the item side (WarmItemSide) and the user table (WarmUserSide), each
+  /// stage parallel over disjoint slots of `pool`. Returns true: ScoreBlock
+  /// becomes pure reads plus the factorized rating head. On a model whose
+  /// sides are both current (an export, a cold eval call or an earlier
+  /// prepare filled them) it computes and writes nothing.
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
   // -- Eval-mode scoring: the factorized eq. (14) head --------------------
   // The rating MLP's first layer is linear, so W [m_u || m_i] + b splits
   // exactly into q = W_u m_u plus P[i] = W_i m_i + b. P is a contiguous
-  // [items, d] table filled with the item memo M (PrepareParallelScoring:
-  // one GemvMulti per block of items; serial path: per item on first use
-  // with the bitwise-equal Gemv), q is computed once per ScoreBlock call,
-  // and each candidate row costs one kernels::AddActDotRows row,
+  // [items, d] table that the item warm-up fills next to M (one GemvMulti
+  // per block of items), q is computed once per ScoreBlock call, and each
+  // candidate row costs one kernels::AddActDotRows row,
   // w2 . act(q + P[i]) + b2 — O(d) work instead of the 2d^2 flops of a
-  // first-layer GEMV, and no [n, 2d] gather. Score is a one-row ScoreBlock,
-  // and the base ScoreRows calls ScoreBlock once per run of equal user, so
-  // Score, ScoreBlock and ScoreRows all end in that one kernel and agree
-  // bitwise with each other and with any re-chunking of rows; only the
-  // float grouping relative to the concat form that ScoreForTraining keeps
-  // for autograd differs (tests/scoring_test.cc).
-  float Score(int64_t user, int64_t item) override;
+  // first-layer GEMV, and no [n, 2d] gather. A row's score does not depend
+  // on the rows sharing its call; only the float grouping relative to the
+  // concat form that ScoreForTraining keeps for autograd differs
+  // (tests/scoring_test.cc). A cold call (a side still empty) runs
+  // PrepareParallelScoring on the calling thread first, so a serial sweep
+  // fills the same tables as a prepare; concurrent calls still require
+  // PrepareParallelScoring first.
   bool SupportsBlockScoring() const override { return true; }
   void ScoreBlock(int64_t user, std::span<const int64_t> items,
                   std::span<float> out) override;
 
-  /// Row `item` of P, filled on first use exactly as Score fills it — what
-  /// the prepared == lazy tests compare.
-  std::span<const float> RatingHeadItemRow(int64_t item);
-
   // -- Demand-paged user representations -----------------------------------
-  // With a cache attached, eval-mode UserRepr bypasses the per-user memo
-  // vector entirely: hits copy the cached row, misses compute eq. (1) under
-  // NoGradGuard (user_agg_.Forward over UserAggSum — the identical code
-  // path the serial lazy fill takes, so the row is bitwise equal to the
-  // ForwardRows-precomputed one; docs/kernels.md) and insert it. Prepare-
-  // ParallelScoring then skips the O(users) sweep: hot swap warm-up becomes
-  // O(items) and user-side memory O(cache capacity). The cache's sharded
-  // locks plus the pure-read item/scene memos keep concurrent
+  // With a cache attached, eval-mode UserRepr bypasses the user table
+  // entirely: hits copy the cached row, misses compute eq. (1) under
+  // NoGradGuard (user_agg_.Forward over UserAggSum, bitwise the row the
+  // ForwardRows sweep of WarmUserSide writes; docs/kernels.md) and insert
+  // it. PrepareParallelScoring then skips the O(users) sweep: hot swap
+  // warm-up becomes O(items) and user-side memory O(cache capacity). The
+  // cache's sharded locks plus the pure-read item tables keep concurrent
   // ScoreBlock calls safe after PrepareParallelScoring, exactly as in
   // full warm-up mode.
   bool SupportsUserReprCache() const override { return true; }
@@ -125,10 +119,10 @@ class SceneRec : public Recommender {
   void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                            uint64_t version) override;
 
-  /// Exports the memoized eval representations (eqs. 1 and 13). The item
-  /// export is the item warm-up: WarmItemSide on the default pool fills M
-  /// and P, and the export copies M out, so a Publish that follows finds
-  /// the item side done. The true score is the rating MLP over
+  /// Exports the eval representations (eqs. 1 and 13). The item export is
+  /// the item warm-up: WarmItemSide on the default pool fills M and P, and
+  /// the export copies M out, so a Publish that follows finds the item side
+  /// done; it never sweeps the users. The true score is the rating MLP over
   /// [user_repr, item_repr] — not an inner product — so the export is
   /// kProxy: index order only picks candidates and two-stage serving always
   /// reranks with exact ScoreBlock.
@@ -149,10 +143,11 @@ class SceneRec : public Recommender {
 
  private:
   /// Step-scoped memo tables. One instance per execution lane: the members
-  /// `step_caches_` for the serial path (and eval sweeps), one entry of
-  /// `shard_caches_` per shard of a parallel step, or a stack local (see
-  /// AverageAttentionScore). Memoized tensors are autograd nodes, so a
-  /// StepCaches must never be shared by two concurrent Backward graphs.
+  /// `step_caches_` for the serial training path, one entry of
+  /// `shard_caches_` per shard of a parallel step, or a stack local (the
+  /// item warm-up, AverageAttentionScore). Memoized tensors are autograd
+  /// nodes, so a StepCaches must never be shared by two concurrent Backward
+  /// graphs.
   struct StepCaches {
     std::vector<Tensor> scene_sum;
     std::vector<Tensor> category_repr;
@@ -169,23 +164,24 @@ class SceneRec : public Recommender {
   /// accumulates gradients along all uses).
   Tensor SceneSum(int64_t category, StepCaches& caches) const;
 
-  /// Drops the per-step memos (scene sums, category representations). Called
-  /// at the start of every training step; parameters change between steps so
-  /// memos would be stale. The step memos double as the eval scene-sum and
-  /// category memos, so the eval stamp is dropped too.
-  void ClearStepCaches();
-
-  /// Stamps the eval memos with ParameterVersion() unless they already
-  /// carry a stamp: called before the first eval memo after a clear is
-  /// filled, on the calling thread.
-  void StampEvalMemos();
-
-  /// Eqs. (2)-(13) for the whole catalog plus P: the eval scene sums, the
-  /// eq. (7) category reprs, then M and P in blocks of 256 items, each
-  /// stage parallel on `pool`. A stage whose memos are all filled, or a
-  /// block whose items are all projected, is skipped. Shared by
-  /// ExportItemEmbeddings and PrepareParallelScoring.
+  /// The item side, and the only writer of it: the W_u/W_i halves of
+  /// eq. (14)'s first weight, then eqs. (2)-(13) for the whole catalog —
+  /// scene sums and eq. (7) category reprs into warm-up-local StepCaches,
+  /// then M and P in blocks of 256 items — each stage parallel on `pool`.
+  /// A no-op while the side is warm. Call after OnEvalBegin.
   void WarmItemSide(ThreadPool& pool);
+
+  /// The user table, and the only writer of it: eq. (1) for every user,
+  /// parallel on `pool`. A no-op while the table is warm or a ReprCache is
+  /// attached. Call after OnEvalBegin.
+  void WarmUserSide(ThreadPool& pool);
+
+  /// The cold path of every eval read (ScoreBlock, WriteRetrievalQuery,
+  /// eval-mode ScoreForTraining): unless the item side is warm and the user
+  /// side is warm or cache-backed, runs PrepareParallelScoring on the
+  /// calling thread. A cold call writes the tables, so it must not overlap
+  /// scoring; once both sides are ready it only reads.
+  void WarmIfCold();
 
   /// The input of eq. (7)'s fusion layer: h_scene || h_cat (eqs. 3-6).
   /// Split out of CategoryRepr so batched callers can stack these rows and
@@ -210,7 +206,8 @@ class SceneRec : public Recommender {
   /// Aggregated item-embedding sum feeding eq. (1) (before W_u).
   Tensor UserAggSum(int64_t user, Rng* rng);
 
-  /// m_{u_p} — eq. (1).
+  /// m_{u_p} — eq. (1). Under NoGradGuard a read of the user table (or the
+  /// attached cache), so eval callers run WarmIfCold first.
   Tensor UserRepr(int64_t user, Rng* rng);
 
   /// Aggregated user-embedding sum feeding eq. (2) (before W_iu).
@@ -219,22 +216,8 @@ class SceneRec : public Recommender {
   /// m^U_{i_p} — eq. (2).
   Tensor UserSpaceItemRepr(int64_t item, Rng* rng);
 
-  /// m_{i_p} — eq. (13), computed afresh (the eval memo is EvalItemRepr).
+  /// m_{i_p} — eq. (13), computed afresh (training; the eval table is M).
   Tensor GeneralItemRepr(int64_t item, StepCaches& caches, Rng* rng);
-
-  /// Sizes the eval item tables (M, P, their fill states) and splits the
-  /// rating MLP's first weight [d, 2d] into contiguous [d, d] halves W_u
-  /// and W_i, once per eval sweep. Never called concurrently with a cold
-  /// fill.
-  void EnsureEvalTables();
-
-  /// Eval-mode row of M (eq. 13), computed on first use.
-  const float* EvalItemRepr(int64_t item);
-
-  /// Eval-mode row of P, computed on first use from the M row with
-  /// kernels::Gemv — bitwise the row PrepareParallelScoring's GemvMulti
-  /// writes. Requires EnsureEvalTables.
-  const float* EvalItemProjection(int64_t item);
 
   /// Batched eq. (13): one row per item of `items`, computed with row-
   /// batched GEMMs. Row r is bitwise equal to GeneralItemRepr(items[r])
@@ -277,28 +260,27 @@ class SceneRec : public Recommender {
 
   Rng sample_rng_;
 
-  // Step-scoped memos of the serial path (valid within one forward pass /
-  // one eval sweep) and the per-shard tables of the parallel path.
-  mutable StepCaches step_caches_;
+  // Step-scoped memos of the serial training path (valid within one forward
+  // pass) and the per-shard tables of the parallel path.
+  StepCaches step_caches_;
   std::vector<StepCaches> shard_caches_;
-  // Eval-sweep-scoped memos, only consulted under NoGradGuard: evaluation
-  // scores num_users x 101 pairs, and every representation is deterministic
-  // between parameter updates. During parallel evaluation they are filled
-  // up-front by PrepareParallelScoring and then only read.
+  // The eval tables, read only under NoGradGuard: every representation is
+  // deterministic between parameter writes. Each side is either complete
+  // (its flag set) or empty, and has one writer, its warm-up.
+  // User side: m_u (eq. 1) per user, written by WarmUserSide.
   std::vector<Tensor> eval_user_cache_;
-  // M [items, d] (eq. 13) and P [items, d] (W_i M + b of eq. 14), row-major
-  // and contiguous; item_state_ says how far each item's rows are filled.
-  enum ItemState : uint8_t { kItemCold = 0, kItemRepr = 1, kItemProjected = 2 };
+  bool user_side_warm_ = false;
+  // Item side, written by WarmItemSide: M [items, d] (eq. 13) and
+  // P [items, d] (W_i M + b of eq. 14), row-major and contiguous, and W_u
+  // and W_i, the [d, d] column halves of the rating MLP's first weight.
   std::vector<float> eval_item_repr_;
   std::vector<float> eval_item_proj_;
-  std::vector<uint8_t> item_state_;
-  // W_u and W_i: the [d, d] column halves of the rating MLP's first weight.
   std::vector<float> rating_w_user_;
   std::vector<float> rating_w_item_;
+  bool item_side_warm_ = false;
 
-  // ParameterVersion() when the first eval memo after the last clear was
-  // filled; empty while no memo carries a stamp. Training steps drop it
-  // (ClearStepCaches), since they refill the shared step memos.
+  // ParameterVersion() when OnEvalBegin last emptied the eval tables; both
+  // sides are filled under it. Empty until the first OnEvalBegin.
   std::optional<uint64_t> eval_version_;
 
   // Demand-paged user-representation store (see AttachUserReprCache).

@@ -27,16 +27,13 @@ namespace {
 // Kernel call + FLOP accounting (docs/observability.md). Instrumented at the
 // per-call level only: Dot/Axpy run inside these kernels' inner loops and
 // stay untouched, so the cost per GEMM/GEMV is one enabled-flag branch and
-// two thread-local stores. GemvRows counts one gemv per row (its rows ARE
-// gemv calls, bitwise), plus its own batched-call counter. AddActDotRows
-// counts 4d+1 FLOPs per row: the q + table add, the activation, the w2
-// multiply-accumulate pair, and the output bias.
+// two thread-local stores. AddActDotRows counts 4d+1 FLOPs per row: the
+// q + table add, the activation, the w2 multiply-accumulate pair, and the
+// output bias.
 const telemetry::Counter t_gemm_calls =
     telemetry::RegisterCounter("kernels/gemm_calls");
 const telemetry::Counter t_gemv_calls =
     telemetry::RegisterCounter("kernels/gemv_calls");
-const telemetry::Counter t_gemv_rows_calls =
-    telemetry::RegisterCounter("kernels/gemv_rows_calls");
 const telemetry::Counter t_gemv_multi_calls =
     telemetry::RegisterCounter("kernels/gemv_multi_calls");
 const telemetry::Counter t_add_act_dot_rows_calls =
@@ -142,20 +139,6 @@ void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
   t_gemv_calls.Add(1);
   t_flops.Add(static_cast<uint64_t>(2 * m * n));
   for (int64_t i = 0; i < m; ++i) y[i] = Dot(w + i * n, x, n);
-}
-
-void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-              const float* SCENEREC_RESTRICT xs, int64_t rows,
-              float* SCENEREC_RESTRICT ys) {
-  TRACE_KERNEL("GemvRows", rows * m, n);
-  t_gemv_rows_calls.Add(1);
-  // Each row runs the identical Gemv path — bitwise equal to `rows`
-  // standalone calls, which is what lets model code batch per-entity
-  // forwards without changing results. (The inner Gemv also accounts the
-  // per-row calls and FLOPs.)
-  for (int64_t r = 0; r < rows; ++r) {
-    Gemv(w, m, n, xs + r * n, ys + r * m);
-  }
 }
 
 namespace {

@@ -14,11 +14,11 @@
 //     order is preserved) followed by a fixed-shape horizontal reduction;
 //     axpy-form updates keep the k loop monotonic per output element.
 //
-//  2. Batched == single, bitwise: GemvRows computes row r with the exact
-//     same Dot kernel as a standalone Gemv, so batching per-entity model
-//     code (SceneRec eval caches) cannot change results. The parallel-vs-
-//     serial bitwise equivalence tests in tests/parallel_test.cc depend on
-//     this.
+//  2. Batched == single, bitwise: GemvMulti computes each (row, query)
+//     with the exact accumulation of a standalone Gemv, so batching
+//     per-entity model code (SceneRec's eval tables) cannot change results.
+//     The parallel-vs-serial bitwise equivalence tests in
+//     tests/parallel_test.cc depend on this.
 //
 // Every kernel has a *Ref scalar counterpart (naive loops, same accumulation
 // order) used by the equivalence tests in tests/ops_test.cc.
@@ -62,12 +62,6 @@ void Axpy(float alpha, const float* SCENEREC_RESTRICT x,
 /// y = W x for row-major W [m,n], x [n], y [m]. Row i is Dot(W_i, x).
 void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
           const float* SCENEREC_RESTRICT x, float* SCENEREC_RESTRICT y);
-
-/// ys[r,:] = W xs[r,:] for xs [rows,n], ys [rows,m]. Each row goes through
-/// the identical Gemv path — bitwise equal to `rows` standalone Gemv calls.
-void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-              const float* SCENEREC_RESTRICT xs, int64_t rows,
-              float* SCENEREC_RESTRICT ys);
 
 /// ys[q*m + i] = Dot(W_i, xs_q) for queries xs [nq,n] against row-major
 /// W [m,n] — a multi-query Gemv that makes ONE pass over W, scoring every

@@ -241,8 +241,6 @@ Tensor AddScalar(const Tensor& a, float c) {
       [](float, float) { return 1.0f; });
 }
 
-Tensor Neg(const Tensor& a) { return Scale(a, -1.0f); }
-
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
       "Sigmoid", a,
@@ -285,18 +283,6 @@ Tensor Softplus(const Tensor& a) {
         const float z = std::exp(x);
         return z / (1.0f + z);
       });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(
-      "Exp", a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      "Log", a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; });
 }
 
 Tensor Sqrt(const Tensor& a) {
@@ -357,86 +343,6 @@ Tensor SumRows(const Tensor& a) {
 Tensor MeanRows(const Tensor& a) {
   SCENEREC_CHECK_EQ(a.shape().rank(), 2);
   return Scale(SumRows(a), 1.0f / static_cast<float>(a.shape().dim(0)));
-}
-
-Tensor MaxRows(const Tensor& a) {
-  TRACE_OP("MaxRows");
-  SCENEREC_CHECK_EQ(a.shape().rank(), 2);
-  const int64_t rows = a.shape().dim(0);
-  const int64_t cols = a.shape().dim(1);
-  const auto& av = a.value();
-  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(cols));
-  std::vector<int64_t> argmax(static_cast<size_t>(cols), 0);
-  for (int64_t c = 0; c < cols; ++c) {
-    float best = av[static_cast<size_t>(c)];
-    int64_t best_row = 0;
-    for (int64_t r = 1; r < rows; ++r) {
-      const float v = av[static_cast<size_t>(r * cols + c)];
-      if (v > best) {
-        best = v;
-        best_row = r;
-      }
-    }
-    out[static_cast<size_t>(c)] = best;
-    argmax[static_cast<size_t>(c)] = best_row;
-  }
-  auto an = a.node();
-  auto result = MakeOp("MaxRows", Shape({cols}), std::move(out), {a}, nullptr);
-  TensorNode* on = result.node().get();
-  if (result.requires_grad()) {
-    on->backward_fn = [an, on, argmax, cols]() {
-      auto lock = internal_tensor::LockGradIfSharedLeaf(an.get());
-      an->EnsureGrad();
-      const auto& g = on->grad;
-      for (int64_t c = 0; c < cols; ++c) {
-        an->grad[static_cast<size_t>(argmax[static_cast<size_t>(c)] * cols +
-                                     c)] += g[static_cast<size_t>(c)];
-      }
-    };
-  }
-  return result;
-}
-
-Tensor L2NormalizeRows(const Tensor& a, float epsilon) {
-  TRACE_OP("L2NormalizeRows");
-  SCENEREC_CHECK_EQ(a.shape().rank(), 2);
-  const int64_t rows = a.shape().dim(0);
-  const int64_t cols = a.shape().dim(1);
-  const auto& av = a.value();
-  FloatBuffer out = FloatBuffer::Uninitialized(av.size());
-  std::vector<float> inv_norms(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = av.data() + r * cols;
-    const float sq = epsilon + kernels::Dot(row, row, cols);
-    const float inv = 1.0f / std::sqrt(sq);
-    inv_norms[static_cast<size_t>(r)] = inv;
-    float* orow = out.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) orow[c] = row[c] * inv;
-  }
-  auto an = a.node();
-  auto result =
-      MakeOp("L2NormalizeRows", a.shape(), std::move(out), {a}, nullptr);
-  TensorNode* on = result.node().get();
-  if (result.requires_grad()) {
-    on->backward_fn = [an, on, inv_norms, rows, cols]() {
-      auto lock = internal_tensor::LockGradIfSharedLeaf(an.get());
-      an->EnsureGrad();
-      const auto& g = on->grad;
-      const auto& y = on->value;  // normalized rows
-      // d x = inv_norm * (g - y * (g . y)) per row.
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* grow = g.data() + r * cols;
-        const float* yrow = y.data() + r * cols;
-        const float dot = kernels::Dot(grow, yrow, cols);
-        const float inv = inv_norms[static_cast<size_t>(r)];
-        float* xrow = an->grad.data() + r * cols;
-        for (int64_t c = 0; c < cols; ++c) {
-          xrow[c] += inv * (grow[c] - yrow[c] * dot);
-        }
-      }
-    };
-  }
-  return result;
 }
 
 Tensor Dropout(const Tensor& a, float rate, Rng& rng) {
@@ -511,9 +417,10 @@ namespace {
 
 /// Shared forward/backward for MatVec, MatVecBatch, LinearAct and
 /// LinearActRows: ys = act(W xs + bias) row by row, where `bias` may be
-/// null (plain MatVec) and rows == 1 covers the vector case. Every row goes
-/// through kernels::Gemv, which is what makes the batched entry points
-/// bitwise equal to their per-entity loops.
+/// null (plain MatVec) and rows == 1 covers the vector case. All rows go
+/// through one kernels::GemvMulti, bitwise a standalone Gemv per row, which
+/// is what makes the batched entry points bitwise equal to their
+/// per-entity loops.
 Tensor LinearRowsImpl(const char* name, const Tensor& w, const Tensor& xs,
                       const Tensor* bias, kernels::FusedAct act,
                       float leaky_slope, int64_t rows, Shape out_shape) {
@@ -523,7 +430,7 @@ Tensor LinearRowsImpl(const char* name, const Tensor& w, const Tensor& xs,
   const auto& wv = w.value();
   const auto& xv = xs.value();
   FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(rows * m));
-  kernels::GemvRows(wv.data(), m, n, xv.data(), rows, out.data());
+  kernels::GemvMulti(wv.data(), m, n, xv.data(), rows, out.data());
   if (bias != nullptr) {
     SCENEREC_CHECK_EQ(bias->shape().rank(), 1);
     SCENEREC_CHECK_EQ(bias->shape().dim(0), m);
@@ -620,10 +527,6 @@ Tensor LinearAct(const Tensor& w, const Tensor& x, const Tensor& bias,
   SCENEREC_CHECK_EQ(x.shape().dim(0), w.shape().dim(1));
   return LinearRowsImpl("LinearAct", w, x, &bias, act, leaky_slope,
                         /*rows=*/1, Shape({w.shape().dim(0)}));
-}
-
-Tensor LinearSigmoid(const Tensor& w, const Tensor& x, const Tensor& bias) {
-  return LinearAct(w, x, bias, kernels::FusedAct::kSigmoid);
 }
 
 Tensor LinearActRows(const Tensor& w, const Tensor& xs, const Tensor& bias,

@@ -39,9 +39,6 @@ Tensor Scale(const Tensor& a, float s);
 /// a + c elementwise for a constant c.
 Tensor AddScalar(const Tensor& a, float c);
 
-/// -a.
-Tensor Neg(const Tensor& a);
-
 /// Logistic sigmoid 1 / (1 + exp(-x)).
 Tensor Sigmoid(const Tensor& a);
 
@@ -57,12 +54,6 @@ Tensor LeakyRelu(const Tensor& a, float alpha = kernels::kLeakySlope);
 /// Numerically stable log(1 + exp(x)). Note -log(sigmoid(z)) == Softplus(-z),
 /// which is how the BPR loss is computed.
 Tensor Softplus(const Tensor& a);
-
-/// Elementwise exp.
-Tensor Exp(const Tensor& a);
-
-/// Elementwise natural log. Caller ensures positivity.
-Tensor Log(const Tensor& a);
 
 /// Elementwise square root. Caller ensures non-negativity.
 Tensor Sqrt(const Tensor& a);
@@ -80,14 +71,6 @@ Tensor SumRows(const Tensor& a);
 
 /// Mean over rows of [m, d] -> [d].
 Tensor MeanRows(const Tensor& a);
-
-/// Elementwise max over rows of [m, d] -> [d] (PinSAGE-style max pooling).
-/// Gradient flows to the argmax element of each column (first on ties).
-Tensor MaxRows(const Tensor& a);
-
-/// Row-wise L2 normalization of [m, d]: out[r, :] = a[r, :] / ||a[r, :]||,
-/// stabilized with `epsilon` (NGCF normalizes each propagation layer).
-Tensor L2NormalizeRows(const Tensor& a, float epsilon = 1e-12f);
 
 /// Inverted dropout: with probability `rate` an element is zeroed, survivors
 /// are scaled by 1/(1-rate) so expectations match at inference (where the op
@@ -116,9 +99,6 @@ Tensor MatVecBatch(const Tensor& w, const Tensor& xs);
 Tensor LinearAct(const Tensor& w, const Tensor& x, const Tensor& bias,
                  kernels::FusedAct act,
                  float leaky_slope = kernels::kLeakySlope);
-
-/// LinearAct specialised to the paper's sigma = logistic sigmoid.
-Tensor LinearSigmoid(const Tensor& w, const Tensor& x, const Tensor& bias);
 
 /// Row-batched LinearAct: xs [R, n] -> [R, m] where row r equals
 /// LinearAct(w, Row(xs, r), bias, act) bitwise (same per-row kernel).

@@ -115,13 +115,6 @@ TEST(GradCheckTest, Softplus) {
   ExpectGradientsClose([&] { return Dot(Softplus(a), Projection(5)); }, {a});
 }
 
-TEST(GradCheckTest, ExpLog) {
-  Rng rng(11);
-  Tensor a = Tensor::RandomUniform(Shape({4}), 0.5f, 2.0f, rng, true);
-  ExpectGradientsClose([&] { return Dot(Exp(a), Projection(4)); }, {a});
-  ExpectGradientsClose([&] { return Dot(Log(a), Projection(4)); }, {a});
-}
-
 TEST(GradCheckTest, Sqrt) {
   Rng rng(12);
   Tensor a = Tensor::RandomUniform(Shape({4}), 0.5f, 2.0f, rng, true);
@@ -231,22 +224,6 @@ TEST(GradCheckTest, WeightedSumRows) {
   ExpectGradientsClose(
       [&] { return Dot(WeightedSumRows(rows, w), Projection(3)); },
       {rows, w});
-}
-
-TEST(GradCheckTest, MaxRowsAwayFromTies) {
-  // Distinct values so the argmax is stable under the finite-difference
-  // perturbation.
-  Tensor a = Tensor::FromVector(Shape({3, 2}), {0.1f, 0.9f, 0.5f, 0.2f,
-                                                 0.3f, 0.4f},
-                                /*requires_grad=*/true);
-  ExpectGradientsClose([&] { return Dot(MaxRows(a), Projection(2)); }, {a});
-}
-
-TEST(GradCheckTest, L2NormalizeRows) {
-  Rng rng(30);
-  Tensor a = Tensor::RandomUniform(Shape({3, 4}), 0.5f, 1.5f, rng, true);
-  ExpectGradientsClose(
-      [&] { return Dot(SumRows(L2NormalizeRows(a)), Projection(4)); }, {a});
 }
 
 TEST(GradCheckTest, DropoutMaskIsConsistent) {

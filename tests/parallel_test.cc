@@ -279,19 +279,21 @@ TEST_F(ParallelTrainTest, SceneRecShardLossesSumToSerialLoss) {
   EXPECT_NEAR(shard_sum, serial_loss, 2e-3f * std::abs(serial_loss) + 1e-4f);
 }
 
-// PrepareParallelScoring precomputes the same cache entries Score() would
-// fill lazily, with identical arithmetic per entry, so parallel SceneRec
-// evaluation matches the serial sweep bitwise.
+// A serial sweep's first (cold) ScoreBlock runs the warm-up on the calling
+// thread; PrepareParallelScoring runs it on four lanes. Per table entry the
+// arithmetic is identical, so parallel SceneRec evaluation of an identically
+// built model matches the serial sweep bitwise.
 TEST_F(ParallelTrainTest, SceneRecParallelScoringMatchesSerial) {
   SceneRecConfig config;
   config.embedding_dim = 8;
+  Rng serial_rng(6);
+  SceneRec serial_model(&train_graph_, &scene_graph_, config, serial_rng);
+  serial_model.OnEvalBegin();
+  const RankingMetrics serial =
+      EvaluateRanking(serial_model.BlockScorer(), split_.test, 10, nullptr);
+
   Rng rng(6);
   SceneRec model(&train_graph_, &scene_graph_, config, rng);
-
-  model.OnEvalBegin();
-  const RankingMetrics serial =
-      EvaluateRanking(model.BlockScorer(), split_.test, 10, nullptr);
-
   ThreadPool pool(4);
   model.OnEvalBegin();
   ASSERT_TRUE(model.PrepareParallelScoring(pool));

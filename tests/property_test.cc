@@ -61,7 +61,7 @@ TEST_P(ActivationProperty, SoftplusIsIntegralOfSigmoid) {
   Rng rng(GetParam());
   Tensor x = Tensor::RandomUniform(Shape({16}), -30.0f, 30.0f, rng);
   auto sp_pos = Softplus(x).value();
-  auto sp_neg = Softplus(Neg(x)).value();
+  auto sp_neg = Softplus(Scale(x, -1.0f)).value();
   for (size_t i = 0; i < sp_pos.size(); ++i) {
     EXPECT_NEAR(sp_pos[i] - sp_neg[i], x.value()[i], 1e-4);
   }
@@ -72,7 +72,7 @@ TEST_P(ActivationProperty, SigmoidSymmetry) {
   Rng rng(GetParam() + 1000);
   Tensor x = Tensor::RandomUniform(Shape({16}), -30.0f, 30.0f, rng);
   auto pos = Sigmoid(x).value();
-  auto neg = Sigmoid(Neg(x)).value();
+  auto neg = Sigmoid(Scale(x, -1.0f)).value();
   for (size_t i = 0; i < pos.size(); ++i) {
     EXPECT_NEAR(pos[i] + neg[i], 1.0f, 1e-5);
   }

@@ -1,9 +1,9 @@
 // Cross-model tests of the block-scoring contract (docs/serving.md): for
 // every factory model — batching fast paths and per-pair fallbacks alike —
-// ScoreBlock must be bitwise equal to per-pair Score(), and a parallel
-// block sweep must reproduce the serial per-pair metrics exactly. Runs
-// under TSan (the parallel block sweep) and ASan+UBSan (span/buffer
-// arithmetic) via tools/check.sh.
+// a row of a full-catalog ScoreBlock must be bitwise the one-row block
+// Score runs, and a parallel block sweep must reproduce the serial per-pair
+// metrics exactly. Runs under TSan (the parallel block sweep) and
+// ASan+UBSan (span/buffer arithmetic) via tools/check.sh.
 
 #include <unistd.h>
 
@@ -98,8 +98,9 @@ class ScoringTest : public ::testing::Test {
   SceneGraph scene_graph_;
 };
 
-// The core contract: out[r] of one full-catalog block is bitwise equal to
-// the per-pair Score, for every factory model (fast path or fallback).
+// The core contract: out[r] of one full-catalog block does not depend on
+// the other rows, so it is bitwise equal to the per-pair Score (a one-row
+// block), for every factory model (fast path or fallback).
 TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
   for (const std::string& name : Table2ModelNames()) {
     SCOPED_TRACE(name);
@@ -116,25 +117,6 @@ TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
             << "user " << user << " item " << items[r];
       }
     }
-  }
-}
-
-// Same contract when Score() runs first and fills the lazy eval caches the
-// block path then reads (the reverse fill order of the test above).
-TEST_F(ScoringTest, ScoreBlockMatchesAfterPerPairWarmedCaches) {
-  std::unique_ptr<Recommender> model = Make("SceneRec");
-  ASSERT_NE(model, nullptr);
-  ASSERT_TRUE(model->SupportsBlockScoring());
-  model->OnEvalBegin();
-  const std::vector<int64_t> items = AllItems();
-  std::vector<float> expected(items.size());
-  for (size_t r = 0; r < items.size(); ++r) {
-    expected[r] = model->Score(3, items[r]);
-  }
-  std::vector<float> block(items.size());
-  model->ScoreBlock(3, items, block);
-  for (size_t r = 0; r < items.size(); ++r) {
-    ASSERT_EQ(block[r], expected[r]) << "item " << items[r];
   }
 }
 
@@ -219,47 +201,11 @@ TEST_F(ScoringTest, FactorizedHeadWithinToleranceOfConcatForm) {
   }
 }
 
-// P filled by PrepareParallelScoring (one GemvMulti per item chunk) is
-// bitwise the P a serial sweep fills item by item with Gemv, here in
-// reverse item order.
-TEST_F(ScoringTest, PreparedRatingHeadTableEqualsLazyFill) {
-  const int64_t num_items = dataset_.num_items;
-  for (const char* name : kSceneRecVariants) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<Recommender> model = Make(name);
-    ASSERT_NE(model, nullptr);
-    auto* scene_rec = dynamic_cast<SceneRec*>(model.get());
-    ASSERT_NE(scene_rec, nullptr);
-    model->OnEvalBegin();
-    std::vector<std::vector<float>> lazy(static_cast<size_t>(num_items));
-    for (int64_t item = num_items - 1; item >= 0; --item) {
-      const std::span<const float> row = scene_rec->RatingHeadItemRow(item);
-      lazy[static_cast<size_t>(item)].assign(row.begin(), row.end());
-    }
-    // OnEvalBegin keeps the lazy table of an unwritten model, so the
-    // prepared side is a second, identically built model.
-    std::unique_ptr<Recommender> prepared = Make(name);
-    ASSERT_NE(prepared, nullptr);
-    auto* prepared_rec = dynamic_cast<SceneRec*>(prepared.get());
-    ASSERT_NE(prepared_rec, nullptr);
-    prepared->OnEvalBegin();
-    ThreadPool pool(4);
-    ASSERT_TRUE(prepared->PrepareParallelScoring(pool));
-    for (int64_t item = 0; item < num_items; ++item) {
-      const std::span<const float> row = prepared_rec->RatingHeadItemRow(item);
-      const std::vector<float>& want = lazy[static_cast<size_t>(item)];
-      ASSERT_EQ(row.size(), want.size());
-      for (size_t j = 0; j < row.size(); ++j) {
-        ASSERT_EQ(row[j], want[j]) << "item " << item << " col " << j;
-      }
-    }
-  }
-}
-
 /// Every eval table of a SceneRec, read through its public paths: M (the
-/// export), P, the user reprs and the full-catalog scores of three users.
+/// export), the user reprs and the full-catalog scores of three users (which
+/// are computed from P).
 struct EvalTables {
-  std::vector<float> m, p, users, scores;
+  std::vector<float> m, users, scores;
 };
 
 EvalTables ReadEvalTables(SceneRec& model, int64_t num_users,
@@ -267,10 +213,6 @@ EvalTables ReadEvalTables(SceneRec& model, int64_t num_users,
   EvalTables t;
   const RetrievalEmbeddings m = model.ExportItemEmbeddings();
   t.m.assign(m.items, m.items + m.num_items * m.dim);
-  for (const int64_t item : items) {
-    const std::span<const float> row = model.RatingHeadItemRow(item);
-    t.p.insert(t.p.end(), row.begin(), row.end());
-  }
   std::vector<float> query(static_cast<size_t>(model.RetrievalDim()));
   for (int64_t u = 0; u < num_users; ++u) {
     model.WriteRetrievalQuery(u, query);
@@ -294,7 +236,6 @@ void ExpectBitwiseEqual(const std::vector<float>& got,
 
 void ExpectSameTables(const EvalTables& got, const EvalTables& want) {
   ExpectBitwiseEqual(got.m, want.m, "M");
-  ExpectBitwiseEqual(got.p, want.p, "P");
   ExpectBitwiseEqual(got.users, want.users, "user reprs");
   ExpectBitwiseEqual(got.scores, want.scores, "scores");
 }
@@ -305,8 +246,8 @@ uint64_t KernelFlops() {
 
 // OnEvalBegin keeps the eval tables of a model whose parameters were not
 // written (the re-publish of a live model computes nothing), and after any
-// kind of parameter write it recomputes them: every M and P row, user repr
-// and score is then bitwise that of a freshly built model holding the same
+// kind of parameter write it recomputes them: every M row, user repr and
+// score is then bitwise that of a freshly built model holding the same
 // parameters.
 TEST_F(ScoringTest, OnEvalBeginKeepsTablesUntilAParameterIsWritten) {
   const std::vector<int64_t> items = AllItems();
@@ -403,6 +344,45 @@ TEST_F(ScoringTest, OnEvalBeginKeepsTablesUntilAParameterIsWritten) {
   }
   telemetry::Telemetry::SetEnabled(false);
   std::remove(snapshot_path.c_str());
+}
+
+// Each eval table has one writer, the blocked warm-up: a cold model's first
+// ScoreBlock runs it on the calling thread for every item and every user,
+// so the PrepareParallelScoring that follows computes nothing, a second
+// block costs only the q Gemv (2d^2) and one AddActDotRows row per
+// candidate (4d+1 each), and the scores are bitwise those of an
+// identically built model that was prepared on four lanes first.
+TEST_F(ScoringTest, ColdScoreBlockWarmsEveryTableSoPrepareComputesNothing) {
+  const std::vector<int64_t> items = AllItems();
+  const uint64_t n = items.size();
+  ThreadPool pool(4);
+  telemetry::Telemetry::SetEnabled(true);
+  for (const char* name : kSceneRecVariants) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> prepared = Make(name);
+    ASSERT_NE(prepared, nullptr);
+    prepared->OnEvalBegin();
+    ASSERT_TRUE(prepared->PrepareParallelScoring(pool));
+    std::vector<float> want(n);
+    prepared->ScoreBlock(5, items, want);
+
+    std::unique_ptr<Recommender> cold = Make(name);
+    ASSERT_NE(cold, nullptr);
+    const uint64_t d = static_cast<uint64_t>(cold->UserReprDim());
+    cold->OnEvalBegin();
+    std::vector<float> first(n);
+    cold->ScoreBlock(5, items, first);
+    uint64_t before = KernelFlops();
+    ASSERT_TRUE(cold->PrepareParallelScoring(pool));
+    EXPECT_EQ(KernelFlops(), before);
+    std::vector<float> second(n);
+    before = KernelFlops();
+    cold->ScoreBlock(5, items, second);
+    EXPECT_EQ(KernelFlops() - before, 2 * d * d + n * (4 * d + 1));
+    ExpectBitwiseEqual(first, want, "cold block");
+    ExpectBitwiseEqual(second, want, "second block");
+  }
+  telemetry::Telemetry::SetEnabled(false);
 }
 
 // On a trained mini-model, swapping the concat head for the factorized one

@@ -1,9 +1,11 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <system_error>
 
@@ -293,7 +295,10 @@ class NanLossModel : public Recommender {
                                    : static_cast<float>(batch.size());
     return Scale(param_, factor);
   }
-  float Score(int64_t, int64_t) override { return 0.0f; }
+  void ScoreBlock(int64_t, std::span<const int64_t>,
+                  std::span<float> out) override {
+    std::fill(out.begin(), out.end(), 0.0f);
+  }
 
  private:
   int64_t finite_batches_;
@@ -315,8 +320,10 @@ class NanScoreModel : public Recommender {
   Tensor BatchLoss(std::span<const BprTriple> batch) override {
     return Scale(param_, static_cast<float>(batch.size()));
   }
-  float Score(int64_t, int64_t) override {
-    return std::numeric_limits<float>::quiet_NaN();
+  void ScoreBlock(int64_t, std::span<const int64_t>,
+                  std::span<float> out) override {
+    std::fill(out.begin(), out.end(),
+              std::numeric_limits<float>::quiet_NaN());
   }
 
  private:

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Correctness gate for the parallel execution layer, the kernel layer and
 # the persistent parameter store:
-#   1. regular build + full test suite, a build (no run) of the repository
-#      benchmark's perfbench program, then snapshot_inspect --selftest
+#   1. regular build + full test suite, a build of the repository
+#      benchmark's perfbench program and one short run of each of its
+#      workloads, which must report correct answers, then
+#      snapshot_inspect --selftest
 #      (train -> versioned snapshot write -> zero-copy open -> bitwise
 #      score check -> retrieval index over the mapping) and
 #      scenerec_serve --selftest (the binary trains through the snapshot
@@ -50,12 +52,25 @@ configure build
 cmake --build build
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> stage 1: perfbench build (not run)"
+echo "==> stage 1: perfbench build"
 # The top-level build leaves perfbench/ out, so without this a change to an
 # API the benchmark program calls would pass ctest and fail only the
 # benchmark run. Its own project builds the library from this checkout.
 configure build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perfbench --target perfbench
+
+echo "==> stage 1: perfbench output checks"
+# Each BENCHMARK.json workload once, short and untraced (about a minute in
+# all). perfbench checks every answer it serves or scores against the
+# library path, so a change that alters a served answer fails here rather
+# than only in a benchmark run. The last output line is the result JSON.
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  result="$(build-perfbench/perfbench --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+  if ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+    echo "perfbench $workload: answers do not match the library path: $result" >&2
+    exit 1
+  fi
+done
 
 echo "==> stage 1: snapshot store end-to-end selftest"
 # Full persistent-store chain against a freshly trained mini-model; exits
