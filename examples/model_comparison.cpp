@@ -101,8 +101,6 @@ int Run(int argc, char** argv) {
     train_config.seed = seed + 23;
     train_config.verbose = flags.GetBool("verbose");
     train_config.threads = flags.GetInt64("threads");
-    train_config.telemetry = telemetry::Telemetry::Enabled();
-    train_config.trace = trace::Trace::Enabled();
     train_config.learning_rate =
         flags.GetDouble("lr") > 0.0
             ? static_cast<float>(flags.GetDouble("lr"))

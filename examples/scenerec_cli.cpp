@@ -138,12 +138,9 @@ int Train(const FlagParser& flags, CliContext& context) {
       flags.GetDouble("lr") > 0
           ? static_cast<float>(flags.GetDouble("lr"))
           : bench::TunedLearningRate(context.model->name());
-  config.optimizer = flags.GetString("optimizer");
   config.seed = static_cast<uint64_t>(flags.GetInt64("data_seed")) + 23;
   config.verbose = flags.GetBool("verbose");
   config.threads = flags.GetInt64("threads");
-  config.telemetry = telemetry::Telemetry::Enabled();
-  config.trace = trace::Trace::Enabled();
   auto result =
       TrainAndEvaluate(*context.model, context.split, context.train_graph,
                        config);
@@ -285,7 +282,6 @@ int Run(int argc, char** argv) {
   flags.AddInt64("dim", 32, "embedding dimension");
   flags.AddInt64("epochs", 8, "training epochs (train)");
   flags.AddDouble("lr", 0.0, "learning rate; 0 = per-model tuned default");
-  flags.AddString("optimizer", "rmsprop", "sgd | rmsprop | adagrad | adam");
   flags.AddString("ckpt", "", "checkpoint path (written by train, read by others)");
   flags.AddInt64("user", 0, "user id (recommend)");
   flags.AddInt64("top_n", 10, "recommendations to print (recommend)");

@@ -76,6 +76,10 @@ StatusOr<double> ParseDouble(std::string_view text) {
   if (end != buffer.c_str() + buffer.size()) {
     return Status::InvalidArgument("not a number: " + buffer);
   }
+  // strtod also reads "nan" and "inf", which no flag takes.
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("not a finite number: " + buffer);
+  }
   return value;
 }
 

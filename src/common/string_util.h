@@ -23,7 +23,7 @@ std::string_view Trim(std::string_view text);
 /// Parses a base-10 signed integer; the whole string must be consumed.
 StatusOr<int64_t> ParseInt64(std::string_view text);
 
-/// Parses a floating point value; the whole string must be consumed.
+/// Parses a finite floating point value; the whole string must be consumed.
 StatusOr<double> ParseDouble(std::string_view text);
 
 /// True iff `text` starts with `prefix`.

@@ -28,10 +28,12 @@ namespace {
 const telemetry::Counter t_dropped_spans =
     telemetry::RegisterCounter("trace/dropped_spans");
 
-/// Active floors, mirrored out of TraceOptions so Arm() reads them without
-/// the registry mutex. Relaxed: floors are advisory, like g_enabled.
+/// Active options, mirrored out of TraceOptions so Arm() and a new ring
+/// read them without the registry mutex. Relaxed: they are advisory, like
+/// g_enabled.
 std::atomic<uint64_t> g_op_floor_ns{TraceOptions{}.op_floor_ns};
 std::atomic<uint64_t> g_kernel_floor_ns{TraceOptions{}.kernel_floor_ns};
+std::atomic<size_t> g_buffer_capacity{TraceOptions{}.buffer_capacity};
 
 inline constexpr size_t kArgsWords = kMaxArgsChars / sizeof(uint64_t);
 static_assert(kMaxArgsChars % sizeof(uint64_t) == 0);
@@ -56,8 +58,7 @@ struct SpanRecord {
 /// Per-thread ring of finished spans. Registered once in the global
 /// registry and kept alive past thread exit so its spans survive for export.
 struct ThreadBuffer {
-  ThreadBuffer(size_t capacity, uint32_t index)
-      : records(capacity), thread_index(index) {}
+  explicit ThreadBuffer(size_t capacity) : records(capacity) {}
 
   std::vector<SpanRecord> records;  // ring storage, fixed at creation
   /// Spans ever written; slot = index % size. Stored (release) after the
@@ -68,18 +69,19 @@ struct ThreadBuffer {
   /// an overwrite that loses a span from one that does not.
   std::atomic<uint64_t> mark{0};
   uint64_t next_seq = 0;  // span-id sequence, written by the owner only
-  const uint32_t thread_index;
+  /// Registration order, set under the registry mutex before the owner's
+  /// first span.
+  uint32_t thread_index = 0;
 };
 
 /// All thread buffers ever created. Buffers are owned by the registry (not
 /// the thread) so records survive thread exit for export, and are never
 /// freed. A Meyers singleton, leaked so it outlives every traced thread.
 struct Registry {
-  /// Guards `buffers` and `options`; held only to register a ring or copy
-  /// the ring pointers, so a thread's first span never waits for a reader.
+  /// Guards `buffers`; held only to register a ring or copy the ring
+  /// pointers, so a thread's first span never waits for a reader.
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  TraceOptions options;
   /// Serializes the readers (Drain, Snapshot, Reset) and their marks. Taken
   /// before `mu`, never after.
   std::mutex read_mu;
@@ -100,12 +102,16 @@ std::chrono::steady_clock::time_point Epoch() {
 thread_local constinit ThreadBuffer* t_buffer = nullptr;
 
 ThreadBuffer& CreateBuffer() {
+  // The ring is allocated and zero-filled (6.5 MiB at the default capacity)
+  // before the lock, so neither a reader nor another thread's first span
+  // waits for it.
+  auto buffer = std::make_unique<ThreadBuffer>(
+      std::max<size_t>(1, g_buffer_capacity.load(std::memory_order_relaxed)));
   Registry& reg = GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  const uint32_t index = static_cast<uint32_t>(reg.buffers.size());
-  reg.buffers.push_back(std::make_unique<ThreadBuffer>(
-      std::max<size_t>(1, reg.options.buffer_capacity), index));
-  t_buffer = reg.buffers.back().get();
+  buffer->thread_index = static_cast<uint32_t>(reg.buffers.size());
+  t_buffer = buffer.get();
+  reg.buffers.push_back(std::move(buffer));
   return *t_buffer;
 }
 
@@ -487,11 +493,8 @@ std::string TraceSnapshot::SelfTimeSummary(size_t top_n) const {
 }
 
 void Trace::Start(const TraceOptions& options) {
-  internal::Registry& reg = internal::GetRegistry();
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.options = options;
-  }
+  internal::g_buffer_capacity.store(options.buffer_capacity,
+                                    std::memory_order_relaxed);
   internal::g_op_floor_ns.store(options.op_floor_ns,
                                 std::memory_order_relaxed);
   internal::g_kernel_floor_ns.store(options.kernel_floor_ns,

@@ -39,7 +39,6 @@ RetrievalEmbeddings BprMf::ExportItemEmbeddings() {
   RetrievalEmbeddings out;
   out.num_items = item_embedding_.vocab();
   out.dim = item_embedding_.dim();
-  out.fidelity = RetrievalFidelity::kExactScores;
   out.AdoptItems(item_embedding_.table().value());
   out.AdoptBias(item_bias_.value());  // [num_items, 1] is [num_items] flat
   return out;

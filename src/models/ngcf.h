@@ -48,7 +48,7 @@ class Ngcf : public Recommender {
                   std::span<float> out) override;
 
   /// Layer-concat export (see ExportLayerConcat): the concatenated dot
-  /// equals the per-layer sum up to float regrouping — kFaithfulRanking.
+  /// equals the per-layer sum up to float regrouping.
   bool SupportsRetrievalEmbeddings() const override { return true; }
   int64_t RetrievalDim() const override { return (depth_ + 1) * dim_; }
   RetrievalEmbeddings ExportItemEmbeddings() override;

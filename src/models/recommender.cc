@@ -66,7 +66,6 @@ RetrievalEmbeddings ExportLayerConcat(
   RetrievalEmbeddings out;
   out.num_items = num_items;
   out.dim = out_dim;
-  out.fidelity = RetrievalFidelity::kFaithfulRanking;
   out.owned_items.resize(static_cast<size_t>(num_items * out_dim));
   for (int64_t i = 0; i < num_items; ++i) {
     float* row = out.owned_items.data() + i * out_dim;

@@ -29,31 +29,17 @@ struct ModelContext {
   const SceneGraph* scene = nullptr;
 };
 
-/// How faithfully `Dot(query(u), items[i]) + bias[i]` over a model's exported
-/// retrieval embeddings reproduces Score(u, i). Drives how the retrieval
-/// layer (retrieval/item_index.h) treats index scores: under kExactScores
-/// they ARE model scores; otherwise they only pick candidates and the final
-/// ranking always comes from exact ScoreBlock rescoring (docs/retrieval.md).
-enum class RetrievalFidelity {
-  /// The inner product is bitwise equal to Score (BPR-MF).
-  kExactScores,
-  /// Equal as real arithmetic but float ops regroup (NGCF/KGAT sum per-layer
-  /// dots; the export concatenates layers into one longer dot).
-  kFaithfulRanking,
-  /// A proxy: the true score is a nonlinear head over the representations
-  /// (SceneRec's rating MLP), so index order is approximate by construction.
-  kProxy,
-};
-
 /// An item-embedding matrix exported for retrieval-index construction, plus
 /// the matching query-side embedding contract (WriteRetrievalQuery). `items`
 /// points either at `owned_items` or zero-copy at storage kept alive by
 /// `pin` (a snapshot's file mapping). `bias` is an optional per-item
-/// additive term folded into index scores.
+/// additive term folded into index scores. How closely
+/// `Dot(query(u), items[i]) + bias[i]` reproduces Score(u, i) depends on the
+/// model (docs/retrieval.md); index scores only pick candidates, and
+/// two-stage serving always reranks them with exact ScoreBlock.
 struct RetrievalEmbeddings {
   int64_t num_items = 0;
   int64_t dim = 0;
-  RetrievalFidelity fidelity = RetrievalFidelity::kProxy;
   const float* items = nullptr;  // [num_items, dim] row-major
   const float* bias = nullptr;   // [num_items] or null
   std::vector<float> owned_items;
@@ -75,7 +61,7 @@ struct RetrievalEmbeddings {
 /// one [num_items, layers.size()*dim] matrix. Item nodes must be contiguous
 /// starting at `item_node_base` (PropagationGraph::ItemNode layout). The
 /// concatenated dot equals the per-layer sum as real arithmetic but regroups
-/// float additions — kFaithfulRanking, which the helper sets.
+/// float additions.
 RetrievalEmbeddings ExportLayerConcat(
     const std::vector<std::vector<float>>& layers, int64_t dim,
     int64_t num_items, int64_t item_node_base);
@@ -199,8 +185,7 @@ class Recommender : public Module {
   // the query side per request. Both use the same representations as
   // ScoreBlock, so they require the same preparation (OnEvalBegin after
   // parameter changes) and, like ScoreBlock, warm any eval table still
-  // empty on the calling thread. The declared fidelity tells callers how
-  // to interpret index scores.
+  // empty on the calling thread.
 
   /// True if ExportItemEmbeddings / WriteRetrievalQuery are implemented.
   virtual bool SupportsRetrievalEmbeddings() const { return false; }
@@ -217,8 +202,8 @@ class Recommender : public Module {
   virtual RetrievalEmbeddings ExportItemEmbeddings();
 
   /// Writes the user's query embedding into `out` (size RetrievalDim()),
-  /// such that Dot(out, item_row) + bias approximates Score per the
-  /// exported fidelity. CHECK-fails unless SupportsRetrievalEmbeddings().
+  /// such that Dot(out, item_row) + bias approximates Score.
+  /// CHECK-fails unless SupportsRetrievalEmbeddings().
   virtual void WriteRetrievalQuery(int64_t user, std::span<float> out);
 
   // -- Demand-paged user representations (lazy serving warm-up) ----------

@@ -508,7 +508,6 @@ RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
   RetrievalEmbeddings out;
   out.num_items = user_item_->num_items();
   out.dim = config_.embedding_dim;
-  out.fidelity = RetrievalFidelity::kProxy;
   out.owned_items = eval_item_repr_;
   out.items = out.owned_items.data();
   return out;

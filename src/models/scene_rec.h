@@ -123,8 +123,8 @@ class SceneRec : public Recommender {
   /// the item warm-up: WarmItemSide on the default pool fills M and P, and
   /// the export copies M out, so a Publish that follows finds the item side
   /// done; it never sweeps the users. The true score is the rating MLP over
-  /// [user_repr, item_repr] — not an inner product — so the export is
-  /// kProxy: index order only picks candidates and two-stage serving always
+  /// [user_repr, item_repr] — not an inner product — so the export is a
+  /// proxy: index order only picks candidates and two-stage serving always
   /// reranks with exact ScoreBlock.
   bool SupportsRetrievalEmbeddings() const override { return true; }
   int64_t RetrievalDim() const override { return config_.embedding_dim; }

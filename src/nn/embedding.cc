@@ -7,10 +7,8 @@ namespace scenerec {
 Embedding::Embedding(int64_t vocab, int64_t dim, Rng& rng, float stddev)
     : vocab_(vocab),
       dim_(dim),
-      table_(std::make_shared<DenseParamTable>(vocab, dim, rng, stddev)) {}
-
-Embedding::Embedding(std::shared_ptr<ParamTable> table)
-    : vocab_(table->vocab()), dim_(table->dim()), table_(std::move(table)) {}
+      table_(Tensor::RandomNormal(Shape({vocab, dim}), stddev, rng,
+                                  /*requires_grad=*/true)) {}
 
 Embedding::Embedding(Embedding&& other) noexcept
     : vocab_(other.vocab_), dim_(other.dim_), table_(other.table_) {}
@@ -23,15 +21,15 @@ Embedding& Embedding::operator=(Embedding&& other) noexcept {
 }
 
 Tensor Embedding::Lookup(int64_t id) const {
-  return Reshape(Gather(table_->table(), {id}), Shape({dim_}));
+  return Reshape(Gather(table_, {id}), Shape({dim_}));
 }
 
 Tensor Embedding::LookupMany(const std::vector<int64_t>& ids) const {
-  return Gather(table_->table(), ids);
+  return Gather(table_, ids);
 }
 
 void Embedding::CollectParameters(std::vector<Tensor>* out) const {
-  out->push_back(table_->table());
+  out->push_back(table_);
 }
 
 }  // namespace scenerec

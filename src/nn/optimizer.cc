@@ -7,48 +7,43 @@
 
 namespace scenerec {
 
-Optimizer::Optimizer(std::vector<Tensor> params,
-                     const OptimizerOptions& options)
-    : params_(std::move(params)), options_(options) {
+RmsPropOptimizer::RmsPropOptimizer(std::vector<Tensor> params,
+                                   const OptimizerOptions& options)
+    : params_(std::move(params)),
+      options_(options),
+      cache_(params_.size()),
+      rows_(params_.size()) {
   for (const Tensor& p : params_) {
     SCENEREC_CHECK(p.defined());
     SCENEREC_CHECK(p.requires_grad()) << "optimizer given frozen tensor";
   }
 }
 
-std::vector<float>& Optimizer::State(size_t param_index, int slot) {
-  if (state_.size() <= static_cast<size_t>(slot)) {
-    state_.resize(static_cast<size_t>(slot) + 1);
+void RmsPropOptimizer::Step() {
+  // One sorted unique row list per sparse parameter, walked in the same
+  // order by the clip norm and the update.
+  for (size_t i = 0; i < params_.size(); ++i) {
+    const Tensor& p = params_[i];
+    std::vector<int64_t>& rows = rows_[i];
+    rows.clear();
+    if (p.grad().empty() || p.shape().rank() != 2) continue;
+    rows.assign(p.touched_rows().begin(), p.touched_rows().end());
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
-  auto& per_param = state_[static_cast<size_t>(slot)];
-  if (per_param.size() < params_.size()) per_param.resize(params_.size());
-  auto& slab = per_param[param_index];
-  if (slab.empty()) {
-    slab.assign(static_cast<size_t>(params_[param_index].num_elements()),
-                0.0f);
-  }
-  return slab;
-}
-
-void Optimizer::Step() {
-  OnStepBegin();
 
   // Optional global gradient-norm clipping: one pass to measure, then the
-  // scale factor is folded into every span update.
+  // scale factor is folded into every update.
   float grad_scale = 1.0f;
   if (options_.clip_norm > 0.0f) {
     double sq = 0.0;
-    for (const Tensor& p : params_) {
+    for (size_t i = 0; i < params_.size(); ++i) {
+      const Tensor& p = params_[i];
       const auto& g = p.grad();
       if (g.empty()) continue;
-      if (!p.touched_rows().empty() && p.shape().rank() == 2) {
+      if (!rows_[i].empty()) {
         const int64_t cols = p.shape().dim(1);
-        row_scratch_.assign(p.touched_rows().begin(), p.touched_rows().end());
-        std::sort(row_scratch_.begin(), row_scratch_.end());
-        row_scratch_.erase(
-            std::unique(row_scratch_.begin(), row_scratch_.end()),
-            row_scratch_.end());
-        for (int64_t row : row_scratch_) {
+        for (int64_t row : rows_[i]) {
           const float* gr = g.data() + row * cols;
           for (int64_t c = 0; c < cols; ++c) {
             sq += static_cast<double>(gr[c]) * gr[c];
@@ -64,159 +59,36 @@ void Optimizer::Step() {
     }
   }
 
+  const float lr = options_.learning_rate;
+  const float wd = options_.weight_decay;
+  const auto update = [&](float* value, const float* grad, float* cache,
+                          int64_t begin, int64_t count) {
+    for (int64_t i = begin; i < begin + count; ++i) {
+      const float g = grad[i] * grad_scale + wd * value[i];
+      cache[i] = kDecayRate * cache[i] + (1.0f - kDecayRate) * g * g;
+      value[i] -= lr * g / (std::sqrt(cache[i]) + kEpsilon);
+    }
+  };
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
-    const auto& g = p.grad();
-    if (g.empty()) continue;  // No gradient flowed into this parameter.
-    if (!p.touched_rows().empty() && p.shape().rank() == 2) {
-      // Sparse parameter: update only rows touched since last ZeroGrad.
+    if (p.grad().empty()) continue;  // No gradient flowed into it.
+    std::vector<float>& cache = cache_[i];
+    if (cache.empty()) cache.assign(static_cast<size_t>(p.num_elements()), 0.0f);
+    float* value = p.mutable_value().data();
+    const float* grad = p.grad().data();
+    if (!rows_[i].empty()) {
       const int64_t cols = p.shape().dim(1);
-      row_scratch_.assign(p.touched_rows().begin(), p.touched_rows().end());
-      std::sort(row_scratch_.begin(), row_scratch_.end());
-      row_scratch_.erase(std::unique(row_scratch_.begin(), row_scratch_.end()),
-                         row_scratch_.end());
-      for (int64_t row : row_scratch_) {
-        UpdateSpan(i, row * cols, cols, grad_scale);
+      for (int64_t row : rows_[i]) {
+        update(value, grad, cache.data(), row * cols, cols);
       }
     } else {
-      UpdateSpan(i, 0, p.num_elements(), grad_scale);
+      update(value, grad, cache.data(), 0, p.num_elements());
     }
   }
 }
 
-void Optimizer::ZeroGrad() {
+void RmsPropOptimizer::ZeroGrad() {
   for (Tensor& p : params_) p.ZeroGrad();
-}
-
-// -- SGD ----------------------------------------------------------------------
-
-SgdOptimizer::SgdOptimizer(std::vector<Tensor> params,
-                           const OptimizerOptions& options, float momentum)
-    : Optimizer(std::move(params), options), momentum_(momentum) {}
-
-void SgdOptimizer::UpdateSpan(size_t param_index, int64_t begin, int64_t count,
-                              float grad_scale) {
-  Tensor& p = params_[param_index];
-  float* value = p.mutable_value().data();
-  const float* grad = p.grad().data();
-  const float lr = options().learning_rate;
-  const float wd = options().weight_decay;
-  if (momentum_ > 0.0f) {
-    float* velocity = State(param_index, 0).data();
-    for (int64_t i = begin; i < begin + count; ++i) {
-      const float g = grad[i] * grad_scale + wd * value[i];
-      velocity[i] = momentum_ * velocity[i] + g;
-      value[i] -= lr * velocity[i];
-    }
-  } else {
-    for (int64_t i = begin; i < begin + count; ++i) {
-      const float g = grad[i] * grad_scale + wd * value[i];
-      value[i] -= lr * g;
-    }
-  }
-}
-
-// -- RMSProp ------------------------------------------------------------------
-
-RmsPropOptimizer::RmsPropOptimizer(std::vector<Tensor> params,
-                                   const OptimizerOptions& options,
-                                   float decay_rate, float epsilon)
-    : Optimizer(std::move(params), options),
-      decay_rate_(decay_rate),
-      epsilon_(epsilon) {}
-
-void RmsPropOptimizer::UpdateSpan(size_t param_index, int64_t begin,
-                                  int64_t count, float grad_scale) {
-  Tensor& p = params_[param_index];
-  float* value = p.mutable_value().data();
-  const float* grad = p.grad().data();
-  float* cache = State(param_index, 0).data();
-  const float lr = options().learning_rate;
-  const float wd = options().weight_decay;
-  for (int64_t i = begin; i < begin + count; ++i) {
-    const float g = grad[i] * grad_scale + wd * value[i];
-    cache[i] = decay_rate_ * cache[i] + (1.0f - decay_rate_) * g * g;
-    value[i] -= lr * g / (std::sqrt(cache[i]) + epsilon_);
-  }
-}
-
-// -- Adagrad -------------------------------------------------------------------
-
-AdagradOptimizer::AdagradOptimizer(std::vector<Tensor> params,
-                                   const OptimizerOptions& options,
-                                   float epsilon)
-    : Optimizer(std::move(params), options), epsilon_(epsilon) {}
-
-void AdagradOptimizer::UpdateSpan(size_t param_index, int64_t begin,
-                                  int64_t count, float grad_scale) {
-  Tensor& p = params_[param_index];
-  float* value = p.mutable_value().data();
-  const float* grad = p.grad().data();
-  float* accum = State(param_index, 0).data();
-  const float lr = options().learning_rate;
-  const float wd = options().weight_decay;
-  for (int64_t i = begin; i < begin + count; ++i) {
-    const float g = grad[i] * grad_scale + wd * value[i];
-    accum[i] += g * g;
-    value[i] -= lr * g / (std::sqrt(accum[i]) + epsilon_);
-  }
-}
-
-// -- Adam ----------------------------------------------------------------------
-
-AdamOptimizer::AdamOptimizer(std::vector<Tensor> params,
-                             const OptimizerOptions& options, float beta1,
-                             float beta2, float epsilon)
-    : Optimizer(std::move(params), options),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {}
-
-void AdamOptimizer::UpdateSpan(size_t param_index, int64_t begin,
-                               int64_t count, float grad_scale) {
-  Tensor& p = params_[param_index];
-  float* value = p.mutable_value().data();
-  const float* grad = p.grad().data();
-  float* m = State(param_index, 0).data();
-  float* v = State(param_index, 1).data();
-  const float lr = options().learning_rate;
-  const float wd = options().weight_decay;
-  const float bias1 =
-      1.0f - std::pow(beta1_, static_cast<float>(step_));
-  const float bias2 =
-      1.0f - std::pow(beta2_, static_cast<float>(step_));
-  for (int64_t i = begin; i < begin + count; ++i) {
-    const float g = grad[i] * grad_scale + wd * value[i];
-    m[i] = beta1_ * m[i] + (1.0f - beta1_) * g;
-    v[i] = beta2_ * v[i] + (1.0f - beta2_) * g * g;
-    const float m_hat = m[i] / bias1;
-    const float v_hat = v[i] / bias2;
-    value[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon_);
-  }
-}
-
-// -- Factory -------------------------------------------------------------------
-
-StatusOr<std::unique_ptr<Optimizer>> MakeOptimizer(
-    const std::string& name, std::vector<Tensor> params,
-    const OptimizerOptions& options) {
-  if (name == "sgd") {
-    return std::unique_ptr<Optimizer>(
-        new SgdOptimizer(std::move(params), options));
-  }
-  if (name == "rmsprop") {
-    return std::unique_ptr<Optimizer>(
-        new RmsPropOptimizer(std::move(params), options));
-  }
-  if (name == "adagrad") {
-    return std::unique_ptr<Optimizer>(
-        new AdagradOptimizer(std::move(params), options));
-  }
-  if (name == "adam") {
-    return std::unique_ptr<Optimizer>(
-        new AdamOptimizer(std::move(params), options));
-  }
-  return Status::InvalidArgument("unknown optimizer: " + name);
 }
 
 }  // namespace scenerec

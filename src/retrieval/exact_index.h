@@ -12,10 +12,10 @@ namespace scenerec {
 
 /// The recall = 1.0 reference backend: a blocked exact top-K scan of the
 /// whole item matrix. Each tile of rows is scored by kernels::Gemv — whose
-/// row r IS the fixed-order kernels::Dot — so under kExactScores fidelity
-/// (BPR-MF) every candidate score is bitwise equal to Score(user, item)
-/// and the top-K list matches TopNRecommendations modulo masking
-/// (tests/retrieval_test.cc asserts this).
+/// row r IS the fixed-order kernels::Dot — so for BPR-MF, whose export is
+/// its scoring table, every candidate score is bitwise equal to
+/// Score(user, item) and the top-K list matches TopNRecommendations modulo
+/// masking (tests/retrieval_test.cc asserts this).
 class ExactIndex : public ItemIndex {
  public:
   explicit ExactIndex(RetrievalEmbeddings embeddings);
@@ -23,7 +23,6 @@ class ExactIndex : public ItemIndex {
   std::string name() const override { return "exact"; }
   int64_t num_items() const override { return emb_.num_items; }
   int64_t dim() const override { return emb_.dim; }
-  RetrievalFidelity fidelity() const override { return emb_.fidelity; }
 
   void Search(std::span<const float> query, int64_t k,
               std::vector<Recommendation>* out,

@@ -15,23 +15,6 @@ const telemetry::Counter t_builds =
     telemetry::RegisterCounter("retrieval/index_builds");
 }  // namespace
 
-const char* IndexKindName(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kExact:
-      return "exact";
-    case IndexKind::kIvf:
-      return "ivf";
-  }
-  return "unknown";
-}
-
-StatusOr<IndexKind> ParseIndexKind(const std::string& name) {
-  if (name == "exact") return IndexKind::kExact;
-  if (name == "ivf") return IndexKind::kIvf;
-  return Status::InvalidArgument("unknown retrieval backend '" + name +
-                                 "' (expected exact or ivf)");
-}
-
 StatusOr<std::unique_ptr<ItemIndex>> IndexBuilder::BuildFromEmbeddings(
     RetrievalEmbeddings embeddings) const {
   SCENEREC_TRACE_SPAN_F("retrieval/build", "retrieval", trace::Floor::kNone,
@@ -43,15 +26,9 @@ StatusOr<std::unique_ptr<ItemIndex>> IndexBuilder::BuildFromEmbeddings(
   switch (config_.kind) {
     case IndexKind::kExact:
       return std::unique_ptr<ItemIndex>(new ExactIndex(std::move(embeddings)));
-    case IndexKind::kIvf: {
-      IvfIndex::Options opt;
-      opt.nlist = config_.nlist;
-      opt.nprobe = config_.nprobe;
-      opt.kmeans_iterations = config_.kmeans_iterations;
-      opt.seed = config_.seed;
+    case IndexKind::kIvf:
       return std::unique_ptr<ItemIndex>(
-          new IvfIndex(std::move(embeddings), opt));
-    }
+          new IvfIndex(std::move(embeddings), config_));
   }
   return Status::Internal("unreachable index kind");
 }

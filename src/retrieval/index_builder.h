@@ -12,25 +12,6 @@
 
 namespace scenerec {
 
-/// The two retrieval backends, as spelled on the CLI --retrieval flag.
-enum class IndexKind { kExact, kIvf };
-
-const char* IndexKindName(IndexKind kind);
-
-/// Parses "exact" | "ivf"; InvalidArgument otherwise.
-StatusOr<IndexKind> ParseIndexKind(const std::string& name);
-
-/// Knobs shared across backends; IVF-only fields are ignored by the exact
-/// backend. The defaults are the documented operating point of
-/// docs/retrieval.md (recall@100 >= 0.95 on the bench catalog).
-struct IndexBuildConfig {
-  IndexKind kind = IndexKind::kExact;
-  int64_t nlist = 0;   // 0 = sqrt(num_items)
-  int64_t nprobe = 8;
-  int64_t kmeans_iterations = 8;
-  uint64_t seed = 42;
-};
-
 /// Builds an ItemIndex from a model's exported retrieval embeddings — the
 /// bridge between models/ and retrieval/. Construction is deterministic
 /// given (embeddings, config), which is what makes the live-model and

@@ -1,8 +1,26 @@
 #include "retrieval/item_index.h"
 
 #include "common/check.h"
+#include "common/status.h"
 
 namespace scenerec {
+
+const char* IndexKindName(IndexKind kind) {
+  switch (kind) {
+    case IndexKind::kExact:
+      return "exact";
+    case IndexKind::kIvf:
+      return "ivf";
+  }
+  return "unknown";
+}
+
+StatusOr<IndexKind> ParseIndexKind(const std::string& name) {
+  if (name == "exact") return IndexKind::kExact;
+  if (name == "ivf") return IndexKind::kIvf;
+  return Status::InvalidArgument("unknown retrieval backend '" + name +
+                                 "' (expected exact or ivf)");
+}
 
 void ItemIndex::MultiSearch(std::span<const float> queries,
                             std::span<const int64_t> ks,

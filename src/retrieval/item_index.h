@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status_or.h"
 #include "eval/top_n.h"
 #include "models/recommender.h"
 
@@ -15,10 +16,26 @@ namespace scenerec {
 // an ItemIndex answers "which ~K items maximize query . item (+ bias)" over
 // a model's exported item-embedding matrix, without the O(catalog) exact
 // scan of TopNRecommendations. It returns Recommendations whose `score` is
-// the index's inner-product score: a MODEL score only under
-// RetrievalFidelity::kExactScores; otherwise it merely ranks candidates
-// and callers rerank the survivors with exact ScoreBlock
+// the index's inner-product score, which for most models merely ranks
+// candidates; callers rerank the survivors with exact ScoreBlock
 // (retrieval/two_stage.h).
+
+/// The two retrieval backends, as spelled on the CLI --retrieval flag.
+enum class IndexKind { kExact, kIvf };
+
+const char* IndexKindName(IndexKind kind);
+
+/// Parses "exact" | "ivf"; InvalidArgument otherwise.
+StatusOr<IndexKind> ParseIndexKind(const std::string& name);
+
+/// Which backend to build, and the IVF settings (the exact backend has
+/// none). The defaults are the documented operating point of
+/// docs/retrieval.md (recall@100 >= 0.95 on the bench catalog).
+struct IndexBuildConfig {
+  IndexKind kind = IndexKind::kExact;
+  int64_t nlist = 0;   // IVF lists; 0 = clamp(sqrt(num_items), 1, num_items)
+  int64_t nprobe = 8;  // IVF lists scanned per query, clamped to [1, nlist]
+};
 
 /// Per-query work accounting, for tests/benches and the CLI summaries.
 struct SearchStats {
@@ -38,8 +55,6 @@ class ItemIndex {
   virtual std::string name() const = 0;
   virtual int64_t num_items() const = 0;
   virtual int64_t dim() const = 0;
-  /// Fidelity declared by the exporting model.
-  virtual RetrievalFidelity fidelity() const = 0;
 
   /// Writes the (up to) `k` best candidates into `out`, best first in
   /// BetterRecommendation order (eval/top_n.h). `query` must have dim()

@@ -13,6 +13,11 @@ namespace scenerec {
 
 namespace {
 
+/// Lloyd iterations of the coarse quantizer's k-means.
+constexpr int64_t kKmeansIterations = 8;
+/// Seed of the k-means initialization, the build's only randomness.
+constexpr uint64_t kKmeansSeed = 42;
+
 /// L2 assignment of one item over all centroids, phrased as
 /// argmax(x . c_l - 0.5||c_l||^2): `cdots` holds the Gemv of centroids
 /// against x, `half_norms` the 0.5||c||^2 terms. Lower list id wins ties so
@@ -33,24 +38,20 @@ int64_t AssignList(const float* cdots, const float* half_norms,
 
 }  // namespace
 
-IvfIndex::IvfIndex(RetrievalEmbeddings embeddings, Options options)
-    : emb_(std::move(embeddings)), opt_(options) {
+IvfIndex::IvfIndex(RetrievalEmbeddings embeddings,
+                   const IndexBuildConfig& config)
+    : emb_(std::move(embeddings)) {
   SCENEREC_CHECK(emb_.items != nullptr || emb_.num_items == 0);
-  SCENEREC_CHECK_GT(opt_.kmeans_iterations, 0);
-  if (opt_.nlist > 0) {
-    nlist_ = std::min(opt_.nlist, std::max<int64_t>(emb_.num_items, 1));
+  if (config.nlist > 0) {
+    nlist_ = std::min(config.nlist, std::max<int64_t>(emb_.num_items, 1));
   } else {
     nlist_ = std::clamp<int64_t>(
         static_cast<int64_t>(std::llround(std::sqrt(
             static_cast<double>(std::max<int64_t>(emb_.num_items, 1))))),
         1, std::max<int64_t>(emb_.num_items, 1));
   }
-  opt_.nprobe = std::clamp<int64_t>(opt_.nprobe, 1, nlist_);
+  nprobe_ = std::clamp<int64_t>(config.nprobe, 1, nlist_);
   BuildCoarseQuantizer();
-}
-
-void IvfIndex::set_nprobe(int64_t nprobe) {
-  opt_.nprobe = std::clamp<int64_t>(nprobe, 1, nlist_);
 }
 
 void IvfIndex::BuildCoarseQuantizer() {
@@ -76,10 +77,10 @@ void IvfIndex::BuildCoarseQuantizer() {
   }
 
   // Seeded partial Fisher-Yates picks nlist distinct finite seed rows — the
-  // only randomness in the build, so (embeddings, options) fully determine
+  // only randomness in the build, so (embeddings, nlist) fully determine
   // the structure. With fewer finite rows than lists, the remaining
   // centroids stay at the origin.
-  Rng rng(opt_.seed);
+  Rng rng(kKmeansSeed);
   const int64_t num_finite = static_cast<int64_t>(perm.size());
   for (int64_t i = 0; i < std::min(nlist_, num_finite); ++i) {
     const int64_t j = i + static_cast<int64_t>(rng.NextInt(
@@ -95,7 +96,7 @@ void IvfIndex::BuildCoarseQuantizer() {
   std::vector<float> cdots(static_cast<size_t>(nlist_));
   std::vector<int64_t> counts(static_cast<size_t>(nlist_));
   std::vector<float> sums(static_cast<size_t>(nlist_ * d));
-  for (int64_t it = 0; it < opt_.kmeans_iterations; ++it) {
+  for (int64_t it = 0; it < kKmeansIterations; ++it) {
     for (int64_t l = 0; l < nlist_; ++l) {
       const float* c = centroids_.data() + l * d;
       half_norms[static_cast<size_t>(l)] = 0.5f * kernels::Dot(c, c, d);
@@ -148,7 +149,7 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
   SCENEREC_TRACE_SPAN_F("retrieval/search", "retrieval", trace::Floor::kNone,
                         "backend=%s k=%lld nprobe=%lld", name().c_str(),
                         static_cast<long long>(k),
-                        static_cast<long long>(opt_.nprobe));
+                        static_cast<long long>(nprobe_));
   out->clear();
   if (stats != nullptr) *stats = SearchStats{};
   if (emb_.num_items == 0) return;
@@ -159,7 +160,7 @@ void IvfIndex::Search(std::span<const float> query, int64_t k,
   std::vector<float> cscores(static_cast<size_t>(nlist_));
   kernels::Gemv(centroids_.data(), nlist_, emb_.dim, query.data(),
                 cscores.data());
-  TopK probe_top(opt_.nprobe);
+  TopK probe_top(nprobe_);
   probe_top.OfferBlock(0, cscores);
   std::vector<Recommendation> probe;
   probe_top.Take(&probe);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "retrieval/item_index.h"
@@ -24,30 +23,20 @@ namespace scenerec {
 /// product surrogate for the L2 assignment used at build time.
 class IvfIndex : public ItemIndex {
  public:
-  struct Options {
-    int64_t nlist = 0;   // 0 = clamp(sqrt(num_items), 1, num_items)
-    int64_t nprobe = 8;  // lists scanned per query
-    int64_t kmeans_iterations = 8;
-    uint64_t seed = 42;  // coarse-quantizer initialization
-  };
-
-  IvfIndex(RetrievalEmbeddings embeddings, Options options);
-  explicit IvfIndex(RetrievalEmbeddings embeddings)
-      : IvfIndex(std::move(embeddings), Options{}) {}
+  /// Reads `config.nlist` and `config.nprobe`.
+  explicit IvfIndex(RetrievalEmbeddings embeddings,
+                    const IndexBuildConfig& config = {});
 
   std::string name() const override { return "ivf"; }
   int64_t num_items() const override { return emb_.num_items; }
   int64_t dim() const override { return emb_.dim; }
-  RetrievalFidelity fidelity() const override { return emb_.fidelity; }
 
   void Search(std::span<const float> query, int64_t k,
               std::vector<Recommendation>* out,
               SearchStats* stats = nullptr) const override;
 
   int64_t nlist() const { return nlist_; }
-  int64_t nprobe() const { return opt_.nprobe; }
-  /// Post-build recall/latency tuning; clamped to [1, nlist].
-  void set_nprobe(int64_t nprobe);
+  int64_t nprobe() const { return nprobe_; }
 
   // -- Structure introspection (tests, snapshot_inspect) -----------------
   /// [nlist, dim] row-major k-means centroids.
@@ -61,8 +50,8 @@ class IvfIndex : public ItemIndex {
   void BuildCoarseQuantizer();
 
   RetrievalEmbeddings emb_;
-  Options opt_;
   int64_t nlist_ = 0;
+  int64_t nprobe_ = 0;
   std::vector<float> centroids_;      // [nlist, dim]
   std::vector<int64_t> list_offsets_; // [nlist + 1]
   std::vector<int64_t> list_items_;   // [num_items]

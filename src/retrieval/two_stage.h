@@ -18,10 +18,11 @@ namespace scenerec {
 /// ScoreAndSelectTopN — the same scoring and selection step, tie order
 /// included, as full-catalog serving.
 ///
-/// Returned scores are exact model scores. Under kExactScores fidelity
-/// with num_candidates >= catalog the result is identical to
-/// TopNRecommendations; with a real candidate budget the only possible
-/// difference is recall (a true top-n item the index failed to surface).
+/// Returned scores are exact model scores. For a model whose index scores
+/// are its model scores (BPR-MF) and num_candidates >= catalog, the result
+/// is identical to TopNRecommendations; with a real candidate budget the
+/// only possible difference is recall (a true top-n item the index failed
+/// to surface).
 /// Empty for n <= 0. `stats`, when non-null, receives the index's
 /// per-query accounting with `rescored` set to the reranked candidate
 /// count.

@@ -96,9 +96,9 @@ Server::Server(const ServerConfig& config, const UserItemGraph& train_graph)
     : config_(CheckedConfig(config)),
       train_graph_(train_graph),
       queue_(static_cast<size_t>(config_.queue_capacity)),
-      slo_(SloConfig{
-          static_cast<uint64_t>(config_.slo_target_p99_us) * 1000,
-          config_.slo_error_budget}) {}
+      slo_(SloConfig{.target_p99_ns =
+                         static_cast<uint64_t>(config_.slo_target_p99_us) *
+                         1000}) {}
 
 Server::~Server() { Stop(); }
 

@@ -70,10 +70,9 @@ struct ServerConfig {
   /// Ring slots — the window spans stats_window_ms * stats_window_intervals.
   int64_t stats_window_intervals = 30;
   /// SLO target for end-to-end request p99, in microseconds. 0 disables
-  /// SLO tracking (healthz then ignores latency).
+  /// SLO tracking (healthz then ignores latency). The error budget is
+  /// SloConfig's 0.1% of requests over target.
   int64_t slo_target_p99_us = 0;
-  /// Fraction of requests allowed over target (see SloConfig).
-  double slo_error_budget = 0.001;
 };
 
 /// OK when every field is in range; otherwise InvalidArgument naming the

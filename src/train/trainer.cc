@@ -22,19 +22,13 @@ namespace scenerec {
 
 Status TrainConfig::Validate() const {
   if (epochs <= 0) return Status::InvalidArgument("epochs must be positive");
-  if (batch_size <= 0) {
-    return Status::InvalidArgument("batch_size must be positive");
+  if (!std::isfinite(learning_rate) || learning_rate <= 0.0f) {
+    return Status::InvalidArgument("learning_rate must be positive and finite");
   }
-  if (learning_rate <= 0.0f) {
-    return Status::InvalidArgument("learning_rate must be positive");
+  if (!std::isfinite(weight_decay) || weight_decay < 0.0f) {
+    return Status::InvalidArgument(
+        "weight_decay must be non-negative and finite");
   }
-  if (weight_decay < 0.0f) {
-    return Status::InvalidArgument("weight_decay must be non-negative");
-  }
-  if (lr_decay <= 0.0f || lr_decay > 1.0f) {
-    return Status::InvalidArgument("lr_decay must be in (0, 1]");
-  }
-  if (eval_k <= 0) return Status::InvalidArgument("eval_k must be positive");
   if (patience < 0) {
     return Status::InvalidArgument("patience must be non-negative");
   }
@@ -108,8 +102,6 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
   if (split.train.empty()) {
     return Status::FailedPrecondition("empty training set");
   }
-  if (config.telemetry) telemetry::Telemetry::SetEnabled(true);
-  if (config.trace) trace::Trace::SetEnabled(true);
   // Phase timing only runs when telemetry is on; otherwise the loop below is
   // byte-for-byte the uninstrumented path (instrument is loop-invariant).
   const bool instrument = telemetry::Enabled();
@@ -144,13 +136,10 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
   constexpr int64_t kMinShardTriples = 8;
 
   std::vector<Tensor> params = model.Parameters();
-  OptimizerOptions optimizer_options;
-  optimizer_options.learning_rate = config.learning_rate;
-  optimizer_options.weight_decay = config.weight_decay;
-  optimizer_options.clip_norm = config.clip_norm;
-  SCENEREC_ASSIGN_OR_RETURN(
-      std::unique_ptr<Optimizer> optimizer,
-      MakeOptimizer(config.optimizer, params, optimizer_options));
+  RmsPropOptimizer optimizer(
+      params, OptimizerOptions{.learning_rate = config.learning_rate,
+                               .weight_decay = config.weight_decay,
+                               .clip_norm = kTrainClipNorm});
 
   TrainResult result;
   std::vector<std::vector<float>> best_snapshot;
@@ -165,12 +154,10 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
   }
   Stopwatch stopwatch;
 
-  float current_lr = config.learning_rate;
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     SCENEREC_TRACE_SPAN_F("trainer/epoch", "trainer", trace::Floor::kNone,
                           "epoch=%lld", static_cast<long long>(epoch + 1));
     model.OnEpochBegin();
-    optimizer->set_learning_rate(current_lr);
     // Per-epoch phase accumulators (ns). Forward/backward are atomics
     // because shard workers add to them; the contended adds happen at most
     // once per shard per batch, far off the kernel hot path.
@@ -190,12 +177,12 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
     const std::span<const BprTriple> all_triples(triples);
     double loss_sum = 0.0;
     for (size_t begin = 0; begin < triples.size();
-         begin += static_cast<size_t>(config.batch_size)) {
+         begin += static_cast<size_t>(kTrainBatchSize)) {
       const size_t end = std::min(
-          triples.size(), begin + static_cast<size_t>(config.batch_size));
+          triples.size(), begin + static_cast<size_t>(kTrainBatchSize));
       const std::span<const BprTriple> batch =
           all_triples.subspan(begin, end - begin);
-      optimizer->ZeroGrad();
+      optimizer.ZeroGrad();
       const int64_t num_shards =
           shard_training
               ? std::min<int64_t>(
@@ -303,7 +290,7 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
                             << batch_loss << " in epoch " << epoch + 1
                             << " at triple offset " << begin << "/"
                             << triples.size()
-                            << " (lr " << current_lr << ")";
+                            << " (lr " << config.learning_rate << ")";
         return Status::Internal("training diverged: non-finite batch loss");
       }
       loss_sum += batch_loss;
@@ -312,7 +299,7 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
       phase_start = instrument ? NowNs() : 0;
       {
         SCENEREC_TRACE_SPAN("trainer/optimizer", "trainer", trace::Floor::kNone);
-        optimizer->Step();
+        optimizer.Step();
       }
       if (instrument) optimizer_ns += NowNs() - phase_start;
     }
@@ -329,7 +316,7 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
       // Block interface: batching models answer each instance's candidate
       // list with row-batched GEMMs instead of per-pair forwards.
       return EvaluateRanking(model.BlockScorer(), split.validation,
-                             config.eval_k, eval_pool);
+                             kEvalK, eval_pool);
     }();
     if (instrument) eval_ns = NowNs() - phase_start;
     if (!std::isfinite(validation.ndcg) || !std::isfinite(validation.hr) ||
@@ -351,8 +338,8 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
     if (config.verbose) {
       SCENEREC_LOG(INFO) << model.name() << " epoch " << epoch + 1 << "/"
                          << config.epochs << " loss " << mean_loss
-                         << " val NDCG@" << config.eval_k << " "
-                         << validation.ndcg << " HR@" << config.eval_k << " "
+                         << " val NDCG@" << kEvalK << " "
+                         << validation.ndcg << " HR@" << kEvalK << " "
                          << validation.hr;
     }
     if (instrument) {
@@ -393,7 +380,6 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
       ++epochs_since_best;
       if (config.patience > 0 && epochs_since_best >= config.patience) break;
     }
-    current_lr *= config.lr_decay;
   }
   result.train_seconds = stopwatch.ElapsedSeconds();
 
@@ -405,7 +391,7 @@ StatusOr<TrainResult> TrainAndEvaluate(Recommender& model,
       (pool != nullptr && model.PrepareParallelScoring(*pool)) ? pool.get()
                                                                : nullptr;
   result.test = EvaluateRanking(model.BlockScorer(), split.test,
-                                config.eval_k, test_pool);
+                                kEvalK, test_pool);
   return result;
 }
 

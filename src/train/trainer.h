@@ -13,22 +13,21 @@
 
 namespace scenerec {
 
-/// Training-loop hyper-parameters. Defaults follow the paper's protocol
-/// (RMSProp, BPR loss, K=10) at CPU-friendly settings.
+/// BPR triples per optimizer step.
+inline constexpr int64_t kTrainBatchSize = 128;
+/// Global gradient-norm clip of every optimizer step. Stabilizes
+/// sum-aggregations.
+inline constexpr float kTrainClipNorm = 5.0f;
+/// Ranking cutoff K for HR@K / NDCG@K (the paper's K = 10).
+inline constexpr int64_t kEvalK = 10;
+
+/// Training-loop hyper-parameters. Every run follows the paper's protocol:
+/// BPR loss (eq. 15) with RMSProp, evaluated at K = kEvalK.
 struct TrainConfig {
   int64_t epochs = 10;
-  int64_t batch_size = 128;
-  std::string optimizer = "rmsprop";
   float learning_rate = 1e-3f;
   /// The l2 coefficient lambda of eq. (15), applied as weight decay.
   float weight_decay = 1e-6f;
-  /// Multiplicative per-epoch learning-rate decay; 1.0 disables. The
-  /// effective rate in epoch e is learning_rate * lr_decay^e.
-  float lr_decay = 1.0f;
-  /// Global gradient-norm clip (0 disables). Stabilizes sum-aggregations.
-  float clip_norm = 5.0f;
-  /// Ranking cutoff K for HR@K / NDCG@K.
-  int64_t eval_k = 10;
   /// Stop after this many epochs without validation-NDCG improvement
   /// (0 disables early stopping).
   int64_t patience = 3;
@@ -39,18 +38,9 @@ struct TrainConfig {
   /// training is deterministic only up to float summation order).
   int64_t threads = 1;
   uint64_t seed = 42;
-  /// Log per-epoch progress via SCENEREC_LOG(INFO).
+  /// Log per-epoch progress via SCENEREC_LOG(INFO), and with telemetry on
+  /// (telemetry::Telemetry::SetEnabled) each epoch's phase times too.
   bool verbose = false;
-  /// Turn on the process-wide telemetry registry for this run (counters,
-  /// gauges, phase timers — docs/observability.md) and, with `verbose`, log a
-  /// one-line per-epoch phase-time summary. The caller scrapes/dumps the
-  /// registry (e.g. via --telemetry[=path.json] in the CLIs).
-  bool telemetry = false;
-  /// Turn on span tracing for this run (common/trace.h): trainer phases,
-  /// per-op autograd spans, kernel calls, and pool chunks are recorded into
-  /// per-thread ring buffers. The caller exports the timeline (e.g. via
-  /// --trace[=path.json] in the CLIs, Chrome trace-event JSON).
-  bool trace = false;
   /// When non-empty, every validation improvement writes a VERSIONED
   /// snapshot (nn/snapshot.h, tagged with the model's name) into this
   /// directory through a SnapshotStore: monotonic version ids, atomic

@@ -293,6 +293,9 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(ParseDouble("-1e-3").value(), -1e-3);
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("1.2.3").ok());
+  EXPECT_FALSE(ParseDouble("nan").ok());
+  EXPECT_FALSE(ParseDouble("inf").ok());
+  EXPECT_FALSE(ParseDouble("-inf").ok());
 }
 
 TEST(StringUtilTest, StartsWith) {

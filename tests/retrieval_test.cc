@@ -38,21 +38,10 @@
 namespace scenerec {
 namespace {
 
-/// Factory models that export retrieval embeddings, with the fidelity each
-/// declares (docs/retrieval.md).
-struct SupportedModel {
-  const char* name;
-  RetrievalFidelity fidelity;
-};
-
-std::vector<SupportedModel> SupportingModels() {
-  return {{"BPR-MF", RetrievalFidelity::kExactScores},
-          {"NGCF", RetrievalFidelity::kFaithfulRanking},
-          {"KGAT", RetrievalFidelity::kFaithfulRanking},
-          {"SceneRec", RetrievalFidelity::kProxy},
-          {"SceneRec-noitem", RetrievalFidelity::kProxy},
-          {"SceneRec-nosce", RetrievalFidelity::kProxy},
-          {"SceneRec-noatt", RetrievalFidelity::kProxy}};
+/// Factory models that export retrieval embeddings (docs/retrieval.md).
+std::vector<std::string> SupportingModels() {
+  return {"BPR-MF",   "NGCF",           "KGAT",          "SceneRec",
+          "SceneRec-noitem", "SceneRec-nosce", "SceneRec-noatt"};
 }
 
 std::vector<std::string> NonSupportingModels() {
@@ -130,17 +119,15 @@ class RetrievalTest : public ::testing::Test {
 
 // -- Export support matrix -----------------------------------------------------
 
-TEST_F(RetrievalTest, SupportMatrixAndDeclaredFidelity) {
-  for (const SupportedModel& entry : SupportingModels()) {
-    SCOPED_TRACE(entry.name);
-    std::unique_ptr<Recommender> model = Make(entry.name);
+TEST_F(RetrievalTest, SupportMatrix) {
+  for (const std::string& name : SupportingModels()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
     ASSERT_TRUE(model->SupportsRetrievalEmbeddings());
     RetrievalEmbeddings emb = model->ExportItemEmbeddings();
     EXPECT_EQ(emb.num_items, dataset_.num_items);
     EXPECT_EQ(emb.dim, model->RetrievalDim());
-    EXPECT_EQ(static_cast<int>(emb.fidelity),
-              static_cast<int>(entry.fidelity));
     ASSERT_NE(emb.items, nullptr);
   }
   for (const std::string& name : NonSupportingModels()) {
@@ -155,30 +142,26 @@ TEST_F(RetrievalTest, SupportMatrixAndDeclaredFidelity) {
 
 // -- Exact backend: bitwise parity with serving --------------------------------
 
-// Under kExactScores fidelity the exact backend's candidate scores must be
-// bitwise equal to Score(user, item): Gemv row r IS the fixed-order
-// kernels::Dot the model itself uses.
+// BPR-MF exports its scoring tables, so the exact backend's candidate
+// scores must be bitwise equal to Score(user, item): Gemv row r IS the
+// fixed-order kernels::Dot the model itself uses.
 TEST_F(RetrievalTest, ExactIndexScoresBitwiseEqualModelScores) {
-  for (const SupportedModel& entry : SupportingModels()) {
-    if (entry.fidelity != RetrievalFidelity::kExactScores) continue;
-    SCOPED_TRACE(entry.name);
-    std::unique_ptr<Recommender> model = Make(entry.name);
-    ASSERT_NE(model, nullptr);
-    model->OnEvalBegin();
-    std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kExact);
-    ASSERT_NE(index, nullptr);
-    std::vector<float> query(static_cast<size_t>(index->dim()));
-    std::vector<Recommendation> out;
-    for (int64_t user : {int64_t{0}, int64_t{31}, int64_t{59}}) {
-      model->WriteRetrievalQuery(user, query);
-      index->Search(query, 50, &out);
-      ASSERT_EQ(out.size(), 50u);
-      for (const Recommendation& c : out) {
-        // EXPECT_EQ, not NEAR: candidate generation must not change
-        // numerics for exact-score models.
-        ASSERT_EQ(c.score, model->Score(user, c.item))
-            << "user " << user << " item " << c.item;
-      }
+  std::unique_ptr<Recommender> model = Make("BPR-MF");
+  ASSERT_NE(model, nullptr);
+  model->OnEvalBegin();
+  std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kExact);
+  ASSERT_NE(index, nullptr);
+  std::vector<float> query(static_cast<size_t>(index->dim()));
+  std::vector<Recommendation> out;
+  for (int64_t user : {int64_t{0}, int64_t{31}, int64_t{59}}) {
+    model->WriteRetrievalQuery(user, query);
+    index->Search(query, 50, &out);
+    ASSERT_EQ(out.size(), 50u);
+    for (const Recommendation& c : out) {
+      // EXPECT_EQ, not NEAR: candidate generation must not change
+      // numerics for exact-score models.
+      ASSERT_EQ(c.score, model->Score(user, c.item))
+          << "user " << user << " item " << c.item;
     }
   }
 }
@@ -188,9 +171,9 @@ TEST_F(RetrievalTest, ExactIndexScoresBitwiseEqualModelScores) {
 // the full-catalog TopNRecommendations path — for EVERY exporting model,
 // because the rerank stage rescores with exact ScoreBlock.
 TEST_F(RetrievalTest, TwoStageFullBudgetIdenticalToTopNForAllModels) {
-  for (const SupportedModel& entry : SupportingModels()) {
-    SCOPED_TRACE(entry.name);
-    std::unique_ptr<Recommender> model = Make(entry.name);
+  for (const std::string& name : SupportingModels()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
     std::unique_ptr<ItemIndex> index = BuildIndex(*model, IndexKind::kExact);
@@ -222,9 +205,9 @@ TEST_F(RetrievalTest, TwoStageFullBudgetIdenticalToTopNForAllModels) {
 // suffices; bench_retrieval measures that regime at 50k items.
 TEST_F(RetrievalTest, IvfRecallAt100AtLeast095ForAllModels) {
   const std::vector<int64_t> users = AllUsers();
-  for (const SupportedModel& entry : SupportingModels()) {
-    SCOPED_TRACE(entry.name);
-    std::unique_ptr<Recommender> model = Make(entry.name);
+  for (const std::string& name : SupportingModels()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
     std::unique_ptr<ItemIndex> exact = BuildIndex(*model, IndexKind::kExact);
@@ -236,7 +219,7 @@ TEST_F(RetrievalTest, IvfRecallAt100AtLeast095ForAllModels) {
     ASSERT_NE(exact, nullptr);
     const double recall =
         RetrievalRecallAtK(*model, *ivf.value(), *exact, 100, users);
-    EXPECT_GE(recall, 0.95) << entry.name << " recall@100 = " << recall;
+    EXPECT_GE(recall, 0.95) << name << " recall@100 = " << recall;
   }
 }
 
@@ -246,9 +229,8 @@ TEST_F(RetrievalTest, IvfWithFullProbeMatchesExact) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
   RetrievalEmbeddings emb = model->ExportItemEmbeddings();
-  IvfIndex::Options opt;
-  opt.nprobe = dataset_.num_items;  // clamped to nlist
-  IvfIndex ivf(std::move(emb), opt);
+  // nprobe is clamped to nlist.
+  IvfIndex ivf(std::move(emb), IndexBuildConfig{.nprobe = dataset_.num_items});
   EXPECT_EQ(ivf.nprobe(), ivf.nlist());
   std::unique_ptr<ItemIndex> exact = BuildIndex(*model, IndexKind::kExact);
   std::vector<float> query(static_cast<size_t>(exact->dim()));
@@ -268,12 +250,12 @@ TEST_F(RetrievalTest, IvfWithFullProbeMatchesExact) {
   }
 }
 
-// set_nprobe is the post-build recall/latency knob: more probes never scan
-// fewer items, and the structure CSR is well-formed.
+// nprobe is the recall/latency knob: more probes never scan fewer items,
+// and the structure CSR is well-formed.
 TEST_F(RetrievalTest, IvfStructureAndNprobeKnob) {
   std::unique_ptr<Recommender> model = Make("BPR-MF");
   ASSERT_NE(model, nullptr);
-  IvfIndex ivf(model->ExportItemEmbeddings(), IvfIndex::Options{});
+  IvfIndex ivf(model->ExportItemEmbeddings());
   ASSERT_GT(ivf.nlist(), 1);
   ASSERT_EQ(ivf.list_offsets().size(),
             static_cast<size_t>(ivf.nlist()) + 1);
@@ -299,11 +281,14 @@ TEST_F(RetrievalTest, IvfStructureAndNprobeKnob) {
   model->WriteRetrievalQuery(7, query);
   std::vector<Recommendation> out;
   SearchStats narrow, wide;
-  ivf.set_nprobe(1);
-  ivf.Search(query, 10, &out, &narrow);
+  const IvfIndex one_probe(model->ExportItemEmbeddings(),
+                           IndexBuildConfig{.nprobe = 1});
+  one_probe.Search(query, 10, &out, &narrow);
   EXPECT_EQ(narrow.lists_probed, 1);
-  ivf.set_nprobe(ivf.nlist());
-  ivf.Search(query, 10, &out, &wide);
+  const IvfIndex all_probes(model->ExportItemEmbeddings(),
+                            IndexBuildConfig{.nprobe = ivf.nlist()});
+  all_probes.Search(query, 10, &out, &wide);
+  EXPECT_EQ(wide.lists_probed, ivf.nlist());
   EXPECT_GE(wide.items_scanned, narrow.items_scanned);
 }
 
@@ -444,7 +429,7 @@ TEST(RetrievalEdgeTest, EmptyEmbeddingsYieldEmptyResults) {
 
   RetrievalEmbeddings empty2;
   empty2.dim = 4;
-  IvfIndex ivf(std::move(empty2), IvfIndex::Options{});
+  IvfIndex ivf(std::move(empty2));
   out = {{1, 2.0f}};
   ivf.Search(query, 10, &out);
   EXPECT_TRUE(out.empty());
@@ -668,7 +653,6 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   RetrievalEmbeddings emb;
   emb.num_items = num_items;
   emb.dim = kDim;
-  emb.fidelity = RetrievalFidelity::kExactScores;
   emb.items = items.data();
   const int64_t group = static_cast<int64_t>(best_copies.size());
   const std::vector<int64_t> big_ks = {
@@ -705,7 +689,6 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   RetrievalEmbeddings nan_emb;
   nan_emb.num_items = 5000;
   nan_emb.dim = kDim;
-  nan_emb.fidelity = RetrievalFidelity::kExactScores;
   nan_emb.items = nan_items.data();
   const std::vector<float> ones(static_cast<size_t>(kDim), 1.0f);
   const std::vector<int64_t> four = {4};
@@ -719,7 +702,7 @@ TEST_F(RetrievalTest, MultiSearchBitwiseEqualsSearchForAllBackends) {
   SCOPED_TRACE("8 NaN rows first");
   ExpectBackendsMatchMaterialized(nan_emb, ones, four);
 
-  const IvfIndex ivf(nan_emb, IvfIndex::Options{});
+  const IvfIndex ivf(nan_emb);
   ASSERT_EQ(ivf.nlist(), 71);
   ASSERT_EQ(ivf.nprobe(), 8);
   for (const float c : ivf.centroids()) ASSERT_TRUE(std::isfinite(c));

@@ -320,14 +320,14 @@ TEST_F(ScoringTest, OnEvalBeginKeepsTablesUntilAParameterIsWritten) {
 
     // An optimizer step (sharded loss, which leaves the eval memos alone).
     {
-      SgdOptimizer sgd(model->Parameters(),
-                       OptimizerOptions{.learning_rate = 0.5f});
+      RmsPropOptimizer optimizer(model->Parameters(),
+                                 OptimizerOptions{.learning_rate = 0.5f});
       model->PrepareShards(1);
       Rng rng(5);
       const std::vector<BprTriple> triples = {{0, 1, 2}, {7, 3, 4}};
       Backward(model->BatchLossShard(triples, 0, rng));
-      sgd.Step();
-      sgd.ZeroGrad();
+      optimizer.Step();
+      optimizer.ZeroGrad();
     }
     ExpectSameTables(written_then_prepared(), fresh_tables());
 

@@ -208,26 +208,6 @@ TEST_F(SnapshotTest, MappingSurvivesModelDestructionUntilLastReaderDrains) {
   EXPECT_EQ(reader.value()[0], expected);
 }
 
-TEST_F(SnapshotTest, MappedEmbeddingBackendServesLookups) {
-  Rng rng(8);
-  Embedding trained(14, 4, rng);
-  const std::string path = dir_ + "/table.srsnap";
-  ASSERT_TRUE(WriteSnapshot(trained, "emb", 1, path).ok());
-  auto snapshot = Snapshot::Open(path);
-  ASSERT_TRUE(snapshot.ok());
-  Embedding served(
-      std::make_shared<MappedParamTable>(snapshot.value()->View(0)));
-  EXPECT_FALSE(served.backend()->trainable());
-  EXPECT_EQ(served.vocab(), 14);
-  EXPECT_EQ(served.dim(), 4);
-  for (int64_t id : {int64_t{0}, int64_t{13}}) {
-    const Tensor got = served.Lookup(id);
-    for (int64_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(got.at(c), trained.table().at(id, c));
-    }
-  }
-}
-
 // -- Corruption and error paths -----------------------------------------
 
 TEST_F(SnapshotTest, BadMagicRejected) {

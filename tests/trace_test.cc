@@ -341,7 +341,6 @@ TEST_F(TraceTest, ChromeTraceExportFromMultiThreadedTraining) {
   config.epochs = 2;
   config.patience = 0;
   config.threads = 4;
-  config.trace = true;
   auto result = TrainAndEvaluate(**model, prepared->split,
                                  prepared->train_graph, config);
   ASSERT_TRUE(result.ok());

@@ -20,8 +20,9 @@
 #   3. ASan+UBSan build (-DSCENEREC_SANITIZE=address,undefined) + the tensor
 #      and op tests, which cover the arena allocator (manual ASan poisoning
 #      marks reset and never-allocated arena bytes as redzones) and every
-#      vectorized kernel's pointer arithmetic, and the eval tests, which
-#      hold TopK (the one selector) to a full sort
+#      vectorized kernel's pointer arithmetic, the nn tests, which run the
+#      optimizer's per-row updates, and the eval tests, which hold TopK (the
+#      one selector) to a full sort
 #   4. (opt-in: SCENEREC_PERF=1) benchmark regression gate — re-measures the
 #      benchmark suites and fails via tools/bench_diff --check when any
 #      benchmark regressed past SCENEREC_PERF_THRESHOLD percent (default 20;
@@ -136,11 +137,17 @@ build-tsan/tools/scenerec_stat --selftest
 
 echo "==> stage 3: ASan+UBSan build"
 configure build-asan -DSCENEREC_SANITIZE=address,undefined
-cmake --build build-asan --target tensor_test ops_test eval_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
+cmake --build build-asan --target tensor_test ops_test nn_test eval_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
 
 echo "==> stage 3: tensor/op tests under ASan+UBSan"
 build-asan/tests/tensor_test
 build-asan/tests/ops_test
+
+echo "==> stage 3: optimizer row updates under ASan+UBSan"
+# RMSProp's lazy step indexes value, gradient and cache at row * cols for
+# every touched row; a row id past the table, or a cache sized for another
+# parameter, reads or writes out of bounds here.
+build-asan/tests/nn_test
 
 echo "==> stage 3: top-k selection under ASan+UBSan"
 # TopK's buffer shrinks, threshold skips and chunk merges, and the Top-N

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -60,7 +61,7 @@ bool SameRecommendations(const std::vector<Recommendation>& a,
 }
 
 /// Parses the --skew flag: "uniform" -> 0 (round-robin users), "zipf:<s>"
-/// -> the Zipf exponent s > 0 (rank 0 hottest; see common/rng.h's
+/// -> the Zipf exponent, finite s > 0 (rank 0 hottest; see common/rng.h's
 /// ZipfSampler). The skewed mix is what makes the demand-paged user cache's
 /// hot set meaningful (docs/serving.md#warmup).
 StatusOr<double> ParseSkew(const std::string& skew) {
@@ -69,10 +70,13 @@ StatusOr<double> ParseSkew(const std::string& skew) {
   if (skew.compare(0, prefix.size(), prefix) == 0) {
     char* end = nullptr;
     const double s = std::strtod(skew.c_str() + prefix.size(), &end);
-    if (end != nullptr && *end == '\0' && s > 0.0) return s;
+    if (end != nullptr && *end == '\0' && s > 0.0 && std::isfinite(s)) {
+      return s;
+    }
   }
-  return Status::InvalidArgument("bad --skew \"" + skew +
-                                 "\" (expected uniform | zipf:<s>, s > 0)");
+  return Status::InvalidArgument(
+      "bad --skew \"" + skew +
+      "\" (expected uniform | zipf:<s>, finite s > 0)");
 }
 
 // ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ fail() {
   exit 1
 }
 
-for flag in max_batch clients requests; do
-  "$serve" --scale=0.01 --$flag=0 --snapshot_dir="$dir/snapshots" \
+for arg in max_batch=0 clients=0 requests=0 skew=zipf:inf; do
+  flag="${arg%%=*}"
+  "$serve" --scale=0.01 --$arg --snapshot_dir="$dir/snapshots" \
     > "$dir/out" 2> "$dir/err"
-  [ $? -eq 1 ] || fail "--$flag=0 did not exit 1: $(cat "$dir/err")"
+  [ $? -eq 1 ] || fail "--$arg did not exit 1: $(cat "$dir/err")"
   grep -q "$flag" "$dir/err" ||
-    fail "--$flag=0: stderr does not name the flag: $(cat "$dir/err")"
-  [ ! -s "$dir/out" ] || fail "--$flag=0 printed: $(cat "$dir/out")"
+    fail "--$arg: stderr does not name the flag: $(cat "$dir/err")"
+  [ ! -s "$dir/out" ] || fail "--$arg printed: $(cat "$dir/out")"
   [ -z "$(ls -A "$dir/snapshots" 2> /dev/null)" ] ||
-    fail "--$flag=0 trained before refusing"
+    fail "--$arg trained before refusing"
 done
 
 echo "PASS"

@@ -121,7 +121,6 @@ StatusOr<RetrievalEmbeddings> ExportFromBprSnapshot(
   RetrievalEmbeddings emb;
   emb.num_items = items.shape.dim(0);
   emb.dim = items.shape.dim(1);
-  emb.fidelity = RetrievalFidelity::kExactScores;
   emb.items = snapshot->data(static_cast<size_t>(items_idx));
   emb.bias = snapshot->data(static_cast<size_t>(bias_idx));
   emb.pin = snapshot;  // mapping outlives the index
@@ -280,7 +279,7 @@ int SelfTest(std::string dir) {
 
   // Retrieval chain: the exact index over the mapped model's exported
   // embeddings must reproduce full-catalog Top-N bitwise through the
-  // two-stage path (BPR-MF is kExactScores).
+  // two-stage path (BPR-MF's index scores are its model scores).
   Recommender& served = *mapped;
   auto exact_or = IndexBuilder().Build(served);
   if (!exact_or.ok()) return Fail("index build", exact_or.status());
